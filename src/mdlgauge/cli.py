@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .lexcount import DIALECTS, LexError, count_tokens, tokenize
+from .lexcount import DIALECTS, count_tokens, tokenize
 from .mdl import Candidate, UseCase, rank_candidates, report_csv
 from .term import (
     TermSyntaxError,
@@ -31,7 +31,7 @@ from .term import (
     render_substitution,
     unify,
 )
-from .tradeoff import DomainSpec, InconsistentSpec, emit_tradeoff_points
+from .tradeoff import DomainSpec, emit_tradeoff_points
 from .treedist import CostModel, ted
 from .viscosity import estimate_lipschitz
 
@@ -179,15 +179,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _resolve_seed(value: Optional[int], fallback: int) -> int:
@@ -373,13 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, InputError, ManifestInvalid, InconsistentSpec) as exc:
-        print(f"mdlgauge: {exc}", file=sys.stderr)
-        return 2
-    except (LexError, TermSyntaxError) as exc:
-        print(f"mdlgauge: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # Every usage and input error, a malformed source or term, an
+        # inconsistent spec and a badly encoded file is a ValueError.
         print(f"mdlgauge: {exc}", file=sys.stderr)
         return 2
 

@@ -33,23 +33,43 @@ CPP_KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, longest first so maximal munch falls out of a
-# simple startswith scan.  Covers everything that shows up in the bundled
-# corpus plus the usual C/C++ inventory.
-_MULTI_OPS = (
-    "<<=", ">>=", "->*", "...",
-    "::", "->", "++", "--", "+=", "-=", "*=", "/=", "%=",
-    "==", "!=", "<=", ">=", "&&", "||", "&=", "|=", "^=",
-    "<<", ">>", "##", ".*",
-)
-
 _PUNCTUATORS = frozenset({"(", ")", "[", "]", "{", "}", ",", ";", ".", "#", "::", "..."})
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
-    r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuU]*"
+
+# One master regex per dialect.  At each position the first alternative that
+# matches wins, so the order of the named groups is the scanner's precedence;
+# multi-character operators are listed longest first for maximal munch.
+_CPP_RE = re.compile(
+    r"""
+      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+    | (?P<bad_comment>/\*)
+    | (?P<string>"(?:\\.|[^"\\\n])*")
+    | (?P<char>'(?:\\.|[^'\\\n])*')
+    | (?P<bad_literal>["'])
+    | (?P<number>(?:0[xX][0-9a-fA-F]+|0[bB][01]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuU]*)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><<=|>>=|->\*|\.\.\.
+        |::|->|\+\+|--|\+=|-=|\*=|/=|%=|==|!=|<=|>=|&&|\|\||&=|\|=|\^=|<<|>>|\#\#|\.\*
+        |.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+
+# The generic fallback: runs of word characters, a leading digit making the
+# run a number, and any other non-space character on its own.
+_GENERIC_RE = re.compile(
+    r"(?P<skip>\s+)|(?P<number>[0-9][A-Za-z0-9_]*)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>.)",
+    re.DOTALL,
+)
+
+# Per dialect: the master regex and the words that lex as keywords.
+_SCANNERS = {
+    "cpp-like": (_CPP_RE, CPP_KEYWORDS),
+    "generic": (_GENERIC_RE, frozenset()),
+}
+
+_LITERAL_KINDS = {"string": "string-literal", "char": "char-literal", "number": "number"}
 
 
 class LexError(ValueError):
@@ -112,13 +132,25 @@ def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> Token
     Raises UnterminatedComment / UnterminatedLiteral on malformed input and
     ValueError on an unknown dialect.
     """
-    if dialect == "cpp-like":
-        toks = tuple(_lex_cpp(text))
-    elif dialect == "generic":
-        toks = tuple(_lex_generic(text))
-    else:
+    if dialect not in _SCANNERS:
         raise ValueError(f"unsupported dialect: {dialect!r}")
-    return TokenStream(toks, source_id=source_id, dialect=dialect)
+    master, keywords = _SCANNERS[dialect]
+    toks = []
+    for m in master.finditer(text):
+        group, lexeme = m.lastgroup, m.group()
+        if group == "skip":
+            continue
+        if group == "word":
+            toks.append(Token("keyword" if lexeme in keywords else "identifier", lexeme))
+        elif group == "op":
+            toks.append(Token("punctuator" if lexeme in _PUNCTUATORS else "operator", lexeme))
+        elif group == "bad_comment":
+            raise UnterminatedComment("unterminated block comment", text, m.start())
+        elif group == "bad_literal":
+            raise UnterminatedLiteral("unterminated literal", text, m.start())
+        else:
+            toks.append(Token(_LITERAL_KINDS[group], lexeme))
+    return TokenStream(tuple(toks), source_id=source_id, dialect=dialect)
 
 
 def count_tokens(stream: TokenStream) -> int:
@@ -156,81 +188,3 @@ def rename_identifiers(stream: TokenStream, mapping: Mapping[str, str]) -> Token
 def stream_text(stream: TokenStream) -> str:
     """Render a stream back to lexable text (space at every boundary)."""
     return " ".join(t.text for t in stream.tokens)
-
-
-def _lex_cpp(text: str) -> Iterator[Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "/" and text.startswith("//", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if c == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise UnterminatedComment("unterminated block comment", text, i)
-            i = end + 2
-            continue
-        if c == '"' or c == "'":
-            j = _scan_literal(text, i)
-            kind = "string-literal" if c == '"' else "char-literal"
-            yield Token(kind, text[i:j])
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            yield Token("number", m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            yield Token("keyword" if word in CPP_KEYWORDS else "identifier", word)
-            i = m.end()
-            continue
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                yield Token("punctuator" if op in _PUNCTUATORS else "operator", op)
-                i += len(op)
-                break
-        else:
-            yield Token("punctuator" if c in _PUNCTUATORS else "operator", c)
-            i += 1
-
-
-def _scan_literal(text: str, start: int) -> int:
-    quote = text[start]
-    i = start + 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == quote:
-            return i + 1
-        if c == "\n":
-            break
-        i += 1
-    raise UnterminatedLiteral("unterminated literal", text, start)
-
-
-def _lex_generic(text: str) -> Iterator[Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group()
-            yield Token("number" if word[0].isdigit() else "identifier", word)
-            i = m.end()
-            continue
-        yield Token("punctuator" if c in _PUNCTUATORS else "operator", c)
-        i += 1

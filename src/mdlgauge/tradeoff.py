@@ -259,7 +259,12 @@ _MAX_CANDIDATES = 400
 
 
 @dataclass
-class _CompressionRun:
+class CompressionResult:
+    """One level's compression of a corpus: the discovered library, the
+    rewritten terms, the compressed size (nodes left in the corpus plus
+    library body nodes, where each reuse site costs one call node plus its
+    argument nodes), and the match comparisons spent on the rewrites."""
+
     library: list[Abstraction]
     terms: list[Term]
     compressed_size: int
@@ -268,38 +273,17 @@ class _CompressionRun:
 
     @property
     def mean_cost(self) -> float:
+        """Mean node comparisons spent by matching per successful rewrite."""
         return self.comparisons / self.rewrites if self.rewrites else 0.0
 
 
 def compress_with_level(
     corpus: Sequence[Term], level: MetalanguageLevel
-) -> tuple[list[Abstraction], int]:
-    """Compress ``corpus`` with the mechanisms available at ``level``.
-
-    Returns the discovered library and the compressed size: nodes left in
-    the corpus plus library body nodes, where each reuse site costs one
-    call node plus its argument nodes.
-    """
+) -> CompressionResult:
+    """Compress ``corpus`` with the mechanisms available at ``level``."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    run = _compress(corpus, level)
-    return run.library, run.compressed_size
-
-
-def measure_inversion_cost(
-    corpus: Sequence[Term], library: Sequence[Abstraction], level: MetalanguageLevel
-) -> float:
-    """Mean node comparisons spent by match_term per successful rewrite.
-
-    Compression is deterministic, so the run is replayed; the supplied
-    library must be the one compress_with_level produced for this corpus.
-    """
-    run = _compress(corpus, level)
-    if [(a.name, a.params, a.body) for a in run.library] != [
-        (a.name, a.params, a.body) for a in library
-    ]:
-        raise ValueError("library does not correspond to this corpus and level")
-    return run.mean_cost
+    return _compress(corpus, level)
 
 
 def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
@@ -315,9 +299,9 @@ def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
     return points
 
 
-def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> _CompressionRun:
+def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionResult:
     terms = list(corpus)
-    run = _CompressionRun([], terms, 0, 0, 0)
+    run = CompressionResult([], terms, 0, 0, 0)
     candidates: list[Abstraction] = []
     if level.index >= 1:
         candidates.extend(_constant_candidates(terms))
@@ -378,7 +362,7 @@ def _savings(candidate: Abstraction, sites: list[_Site]) -> int:
     return per_site - term_size(candidate.body)
 
 
-def _greedy_rewrite(run: _CompressionRun, candidates: list[Abstraction]) -> None:
+def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> None:
     """Lazy-greedy selection: re-evaluate a candidate's savings against the
     current corpus when it reaches the top of the heap, apply it while the
     savings stay positive."""
@@ -386,28 +370,26 @@ def _greedy_rewrite(run: _CompressionRun, candidates: list[Abstraction]) -> None
         return
     index = _label_index(run.terms)
     version = 0
-    heap: list[tuple[int, str, int, Abstraction]] = []
-    for cand in candidates:
+    # Keys are distinct renderings, so heap order never compares candidates
+    # or sites.  An entry scored at the current version carries the sites
+    # that are still valid, since the index changes only with the version.
+    heap: list[tuple[int, str, int, Abstraction, list[_Site]]] = []
+
+    def score(cand: Abstraction, key: str) -> None:
         sites = _find_sites(index, cand)
         gain = _savings(cand, sites)
         if gain > 0:
-            heapq.heappush(heap, (-gain, render_term(cand.body), version, cand))
+            heapq.heappush(heap, (-gain, key, version, cand, sites))
 
+    for cand in candidates:
+        score(cand, render_term(cand.body))
     while heap:
-        neg_gain, key, seen, cand = heapq.heappop(heap)
+        _, key, seen, cand, sites = heapq.heappop(heap)
         if seen != version:
-            sites = _find_sites(index, cand)
-            gain = _savings(cand, sites)
-            if gain > 0:
-                heapq.heappush(heap, (-gain, key, version, cand))
-            continue
-        sites = _find_sites(index, cand)
-        gain = _savings(cand, sites)
-        if gain <= 0:
+            score(cand, key)
             continue
         name = f"${len(run.library)}"
-        entry = Abstraction(name, cand.params, cand.body)
-        run.library.append(entry)
+        run.library.append(Abstraction(name, cand.params, cand.body))
         for site in sites:
             run.terms[site.term_index] = replace_at(
                 run.terms[site.term_index], site.path, Node(name, site.args)

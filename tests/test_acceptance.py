@@ -6,6 +6,7 @@ criterion fails its test.  Criteria with runtime budgets assert them.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,13 @@ def test_criterion_6_viscosity(corpus_text):
     report(6, f"1000 samples honor d_in <= d_out; hypot forward_k = 2, {elapsed:.1f}s")
 
 
+def readme_tradeoff_csv() -> list[str]:
+    """The four CSV lines the README publishes for the seed-7 spec."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("$ cat points.csv") + 1
+    return lines[start : start + 4]
+
+
 def test_criterion_7_tradeoff_curve():
     start = time.perf_counter()
     spec = DomainSpec(seed=7, program_count=50, program_size=200,
@@ -193,9 +201,16 @@ def test_criterion_7_tradeoff_curve():
     assert ratios[0] > ratios[1] > ratios[2]
     assert costs[0] < costs[1] < costs[2]
     for level, point in zip(LADDER, points):
-        _, size = compress_with_level(corpus, level)
-        assert size >= floor
-        assert abs(size / total - point.compression_ratio) < 1e-12
+        run = compress_with_level(corpus, level)
+        assert run.compressed_size >= floor
+        assert abs(run.compressed_size / total - point.compression_ratio) < 1e-12
+        assert point.inversion_cost == run.mean_cost
+    # Formatted as `mdlgauge tradeoff` prints them, the points are the
+    # README's published CSV byte for byte.
+    assert ["level,power,compression_ratio,inversion_cost"] + [
+        f"{p.level.name},{p.level.power:.6f},{p.compression_ratio:.6f},{p.inversion_cost:.6f}"
+        for p in points
+    ] == readme_tradeoff_csv()
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(7, f"ratios {ratios} decreasing, costs {costs} increasing, "

@@ -102,6 +102,20 @@ def test_mdl_output_is_byte_identical(capsys, corpus, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["no/such/dir/counts.tsv", "."])
+def test_unwritable_out_is_an_input_error(capsys, corpus, tmp_path, name):
+    # A missing directory fails before the temporary file exists; a
+    # directory as the target fails at the rename, after it exists.
+    target = tmp_path / name
+    code, out, err = run_cli(
+        capsys, "tokenize", str(corpus / "fig2a.cpp"), "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mdlgauge: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(tmp_path.name + ".*")) == []
+
+
 def test_no_partial_output_on_error(capsys, tmp_path):
     target = tmp_path / "report.csv"
     code, _, err = run_cli(capsys, "mdl", str(tmp_path / "absent.json"), "--out", str(target))

@@ -4,9 +4,11 @@ and agreement with an independently written reference lexer."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlgauge.lexcount import (
     CollisionWithKeyword,
+    LexError,
     NonInjectiveMapping,
     Token,
     UnterminatedComment,
@@ -78,9 +80,35 @@ def test_reference_lexer_agrees_on_snippets():
         "x.hasNext()",
         "plus<double>()  /* adapt */ , 0.0f",
         "// only a comment\n",
+        # digits and spaces outside ASCII: a superscript is not a decimal
+        # digit, so it lexes as a one-character operator
+        "x\u00b2",
+        "x.\u00b2",
+        "\u06639e",
+        "a\xa0b",
+        "a\u2028b",
     ]
     for text in snippets:
         assert list(tokenize(text).texts()) == reference_lex(text), text
+
+
+C_ISH = st.text(
+    alphabet=st.sampled_from(
+        list("abxyz_019.eExXfLu+-*/%=<>!&|^~?:;,#()[]{}'\"\\ \t\n")
+        + ["\u00b2", "\u0663", "\xa0", "\u2028"]
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(C_ISH)
+def test_reference_lexer_agrees_on_random_text(text):
+    try:
+        stream = tokenize(text)
+    except LexError:
+        return
+    assert list(stream.texts()) == reference_lex(text)
 
 
 def test_comment_and_whitespace_invariance(corpus_text):

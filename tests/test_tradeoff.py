@@ -2,6 +2,7 @@
 
 import pytest
 
+from mdlgauge import tradeoff
 from mdlgauge.term import (
     Node,
     match_term,
@@ -19,7 +20,6 @@ from mdlgauge.tradeoff import (
     generate_corpus,
     generate_corpus_with_truth,
     ground_truth_floor,
-    measure_inversion_cost,
 )
 from support import skolemize
 
@@ -113,36 +113,48 @@ def test_planted_motifs_recoverable_by_lgg():
 
 def test_level_zero_is_identity():
     corpus = generate_corpus(SMALL_PLANTED)
-    library, size = compress_with_level(corpus, L0)
-    assert library == []
-    assert size == total_nodes(corpus)
-    assert measure_inversion_cost(corpus, library, L0) == 0.0
+    run = compress_with_level(corpus, L0)
+    assert run.library == []
+    assert run.terms == corpus
+    assert run.compressed_size == total_nodes(corpus)
+    assert run.mean_cost == 0.0
 
 
 def test_identical_programs_collapse_to_references():
     program = Node("f", (Node("g", (Node("a"), Node("b"))), Node("c"), Node("d")))
     assert term_size(program) == 6
     corpus = [program] * 5
-    library, size = compress_with_level(corpus, L1)
-    assert len(library) == 1
-    assert library[0].params == ()
-    assert size == 6 + 5  # one library entry plus five references
+    run = compress_with_level(corpus, L1)
+    assert len(run.library) == 1
+    assert run.library[0].params == ()
+    assert run.compressed_size == 6 + 5  # one library entry plus five references
+    assert run.rewrites == 5
     # each successful lookup walks the whole constant once
-    assert measure_inversion_cost(corpus, library, L1) == 6.0
+    assert run.mean_cost == 6.0
+
+
+def test_accepted_candidate_is_matched_once(monkeypatch):
+    # The sites found when a candidate is scored are the ones applied when
+    # it is accepted, so the single constant here is matched exactly once.
+    calls = []
+    find_sites = tradeoff._find_sites
+
+    def counting(index, candidate):
+        calls.append(candidate)
+        return find_sites(index, candidate)
+
+    monkeypatch.setattr(tradeoff, "_find_sites", counting)
+    program = Node("f", (Node("g", (Node("a"), Node("b"))), Node("c"), Node("d")))
+    run = compress_with_level([program] * 5, L1)
+    assert len(run.library) == 1
+    assert len(calls) == 1
 
 
 def test_lookup_cost_scales_with_constant_size():
     program = Node("f", tuple(Node("g", (Node("a"), Node(l))) for l in "abc"))
     m = term_size(program)
     corpus = [program] * 4
-    library, _ = compress_with_level(corpus, L1)
-    assert measure_inversion_cost(corpus, library, L1) == float(m)
-
-
-def test_measure_inversion_cost_validates_library():
-    corpus = generate_corpus(SMALL_PLANTED)
-    with pytest.raises(ValueError):
-        measure_inversion_cost(corpus, [], L2)
+    assert compress_with_level(corpus, L1).mean_cost == float(m)
 
 
 def test_curve_shape_on_planted_corpora():
@@ -163,8 +175,7 @@ def test_ratios_stay_above_ground_truth_floor():
     floor = ground_truth_floor(corpus, truth)
     total = total_nodes(corpus)
     for level in LADDER:
-        _, size = compress_with_level(corpus, level)
-        assert floor <= size <= total
+        assert floor <= compress_with_level(corpus, level).compressed_size <= total
 
 
 def test_motif_free_corpus_barely_compresses():
@@ -187,8 +198,7 @@ def test_ladder_powers():
 
 def test_library_calls_carry_arguments():
     corpus, truth = generate_corpus_with_truth(SMALL_PLANTED)
-    library, _ = compress_with_level(corpus, L2)
-    parameterized = [a for a in library if a.params]
+    parameterized = [a for a in compress_with_level(corpus, L2).library if a.params]
     assert parameterized, "expected at least one parameterized library entry"
     for entry in parameterized:
         assert render_term(entry.body).count("?") >= len(entry.params)
