@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from .sampling import leaf_paths, random_ground_term, seeded
 from .term import (
@@ -304,16 +304,54 @@ def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionRe
     run = CompressionResult([], terms, 0, 0, 0)
     candidates: list[Abstraction] = []
     if level.index >= 1:
-        candidates.extend(_constant_candidates(terms))
+        pool = _SubtermPool(terms)
+        candidates.extend(_constant_candidates(pool))
     if level.index >= 2:
         # Parameterized motifs compete with plain constants in one greedy
         # pass; a constant is just the zero-parameter special case.
-        candidates.extend(_motif_candidates(terms))
+        candidates.extend(_motif_candidates(pool))
     _greedy_rewrite(run, candidates)
     run.compressed_size = sum(term_size(t) for t in run.terms) + sum(
         term_size(a.body) for a in run.library
     )
     return run
+
+
+class _SubtermPool:
+    """The distinct subterms of a corpus, numbered in one post-order pass,
+    with each one's representative term, node count and number of
+    occurrences.  A node is keyed by its label and its children's ids, so
+    no subterm is hashed or measured more than once."""
+
+    def __init__(self, corpus: Sequence[Term]):
+        self.terms: list[Term] = []
+        self.sizes: list[int] = []
+        self.counts: list[int] = []
+        ids: dict[object, int] = {}
+        for root in corpus:
+            done: list[int] = []  # ids of finished subterms awaiting their parent
+            stack: list[tuple[Term, bool]] = [(root, False)]
+            while stack:
+                t, expanded = stack.pop()
+                if isinstance(t, Node) and not expanded:
+                    stack.append((t, True))
+                    stack.extend((c, False) for c in reversed(t.children))
+                    continue
+                if isinstance(t, Var):
+                    key, kids = t, ()
+                else:
+                    cut = len(done) - len(t.children)
+                    kids = tuple(done[cut:])
+                    del done[cut:]
+                    key = (t.label, kids)
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = len(self.terms)
+                    self.terms.append(t)
+                    self.sizes.append(1 + sum(self.sizes[k] for k in kids))
+                    self.counts.append(0)
+                self.counts[i] += 1
+                done.append(i)
 
 
 @dataclass(frozen=True)
@@ -325,22 +363,86 @@ class _Site:
     cost: int
 
 
-def _label_index(terms: Sequence[Term]) -> dict[str, list[tuple[int, tuple[int, ...], Term]]]:
-    index: dict[str, list[tuple[int, tuple[int, ...], Term]]] = {}
-    for ti, term in enumerate(terms):
-        for path, node in iter_subterms(term):
-            if isinstance(node, Node):
-                index.setdefault(node.label, []).append((ti, path, node))
-    return index
+class _SiteIndex:
+    """The Node occurrences of a corpus, bucketed by label and arity, then
+    by the tuple of the children's labels (None for a metavariable child).
+
+    A pattern visits only the buckets that agree with its root and with its
+    non-variable children; a variable child is a wildcard, so it also
+    admits library calls.  After a rewrite only the rewritten subterms and
+    their ancestors are filed again.
+    """
+
+    def __init__(self, terms: Sequence[Term]):
+        # (label, arity) -> child labels -> term index -> path -> node
+        self._shapes: dict[tuple[str, int], dict[tuple, dict[int, dict]]] = {}
+        for ti, term in enumerate(terms):
+            self._add(ti, _region(term, [()]))
+
+    def update(
+        self, ti: int, before: Term, after: Term, paths: list[tuple[int, ...]]
+    ) -> None:
+        """Term ``ti`` was ``before`` until its subterms at ``paths`` were
+        replaced, giving ``after``."""
+        self._remove(ti, _region(before, paths))
+        self._add(ti, _region(after, paths))
+
+    def nodes_like(self, pattern: Node) -> Iterator[tuple[int, tuple[int, ...], Node]]:
+        """(term index, path, node) of every node the prefilter cannot rule
+        out as a match of ``pattern``."""
+        buckets = self._shapes.get((pattern.label, len(pattern.children)), {})
+        fixed = [
+            (i, c.label) for i, c in enumerate(pattern.children) if isinstance(c, Node)
+        ]
+        for labels, by_term in buckets.items():
+            if all(labels[i] == label for i, label in fixed):
+                for ti, nodes in by_term.items():
+                    for path, node in nodes.items():
+                        yield ti, path, node
+
+    def _add(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
+        for path, node in region.items():
+            labels = _child_labels(node)
+            buckets = self._shapes.setdefault((node.label, len(labels)), {})
+            buckets.setdefault(labels, {}).setdefault(ti, {})[path] = node
+
+    def _remove(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
+        for path, node in region.items():
+            labels = _child_labels(node)
+            buckets = self._shapes[node.label, len(labels)]
+            by_term = buckets[labels]
+            del by_term[ti][path]
+            if not by_term[ti]:
+                del by_term[ti]
+                if not by_term:
+                    del buckets[labels]
 
 
-def _find_sites(index, candidate: Abstraction) -> list[_Site]:
+def _child_labels(node: Node) -> tuple[Optional[str], ...]:
+    return tuple([getattr(c, "label", None) for c in node.children])
+
+
+def _region(term: Term, paths: list[tuple[int, ...]]) -> dict[tuple[int, ...], Node]:
+    """The Nodes of ``term`` at, below and above each of ``paths``, by path."""
+    region: dict[tuple[int, ...], Node] = {}
+    for path in paths:
+        node = term
+        for depth, i in enumerate(path):
+            region[path[:depth]] = node
+            node = node.children[i]
+        for below, sub in iter_subterms(node):
+            if isinstance(sub, Node):
+                region[path + below] = sub
+    return region
+
+
+def _find_sites(index: _SiteIndex, candidate: Abstraction) -> list[_Site]:
     """Outermost, non-overlapping occurrences of the candidate's body."""
     root = candidate.body
     if not isinstance(root, Node):
         return []
     hits = []
-    for ti, path, node in index.get(root.label, ()):
+    for ti, path, node in index.nodes_like(root):
         bindings, cost = _match_cost(root, node)
         if bindings is not None:
             args = tuple(bindings[p] for p in candidate.params)
@@ -368,7 +470,7 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
     savings stay positive."""
     if not candidates:
         return
-    index = _label_index(run.terms)
+    index = _SiteIndex(run.terms)
     version = 0
     # Keys are distinct renderings, so heap order never compares candidates
     # or sites.  An entry scored at the current version carries the sites
@@ -390,37 +492,30 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
             continue
         name = f"${len(run.library)}"
         run.library.append(Abstraction(name, cand.params, cand.body))
+        changed: dict[int, tuple[Term, list[tuple[int, ...]]]] = {}
         for site in sites:
-            run.terms[site.term_index] = replace_at(
-                run.terms[site.term_index], site.path, Node(name, site.args)
-            )
+            ti = site.term_index
+            changed.setdefault(ti, (run.terms[ti], []))[1].append(site.path)
+            run.terms[ti] = replace_at(run.terms[ti], site.path, Node(name, site.args))
             run.comparisons += site.cost
             run.rewrites += 1
         version += 1
-        index = _label_index(run.terms)
+        for ti, (before, paths) in changed.items():
+            index.update(ti, before, run.terms[ti], paths)
 
 
-def _constant_candidates(terms: Sequence[Term]) -> list[Abstraction]:
-    counts: dict[Term, int] = {}
-    sizes: dict[Term, int] = {}
-    for term in terms:
-        for _, node in iter_subterms(term):
-            if isinstance(node, Node):
-                size = sizes.get(node)
-                if size is None:
-                    size = sizes[node] = term_size(node)
-                if size >= _MIN_CONST_SIZE:
-                    counts[node] = counts.get(node, 0) + 1
+def _constant_candidates(pool: _SubtermPool) -> list[Abstraction]:
+    # Every subterm of _MIN_CONST_SIZE or more nodes is a Node.
     ranked = [
-        (occ * (sizes[t] - 1) - sizes[t], t)
-        for t, occ in counts.items()
-        if occ >= 2 and occ * (sizes[t] - 1) - sizes[t] > 0
+        (occ * (size - 1) - size, t)
+        for t, size, occ in zip(pool.terms, pool.sizes, pool.counts)
+        if size >= _MIN_CONST_SIZE and occ >= 2 and occ * (size - 1) - size > 0
     ]
     ranked.sort(key=lambda pair: (-pair[0], render_term(pair[1])))
     return [Abstraction("const", (), t) for _, t in ranked]
 
 
-def _motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
+def _motif_candidates(pool: _SubtermPool) -> list[Abstraction]:
     """Candidate abstractions from pairwise anti-unification over windows of
     the sorted subterm pool.
 
@@ -428,41 +523,40 @@ def _motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
     generalizing each entry against its next neighbors finds repeated
     parameterized shapes without comparing all pairs.
     """
-    pool_set: set[Term] = set()
-    for term in terms:
-        for _, node in iter_subterms(term):
-            if isinstance(node, Node) and _MIN_MOTIF_SIZE <= term_size(node) <= _MAX_WINDOW:
-                pool_set.add(node)
-    pool = sorted(pool_set, key=render_term)
+    window = sorted(
+        (
+            t
+            for t, size in zip(pool.terms, pool.sizes)
+            if _MIN_MOTIF_SIZE <= size <= _MAX_WINDOW
+        ),
+        key=render_term,
+    )
 
-    found: dict[tuple, Abstraction] = {}
-    for i, left in enumerate(pool):
+    # (rendered body, params) -> (ground nodes, candidate)
+    found: dict[tuple[str, tuple[str, ...]], tuple[int, Abstraction]] = {}
+    for i, left in enumerate(window):
         for j in (i + 1, i + 2):
-            if j >= len(pool):
+            if j >= len(window):
                 break
-            right = pool[j]
+            right = window[j]
             if left.label != right.label or len(left.children) != len(right.children):
                 continue
             cand = lgg([left, right])
-            if not _useful_motif(cand):
+            if not 1 <= len(cand.params) <= _MAX_MOTIF_PARAMS:
                 continue
-            key = (render_term(cand.body), cand.params)
-            found.setdefault(key, cand)
+            size, ground = _size_and_ground_nodes(cand.body)
+            if size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
+                continue
+            found.setdefault((render_term(cand.body), cand.params), (ground, cand))
 
-    candidates = sorted(
-        found.values(), key=lambda a: (-_ground_nodes(a), render_term(a.body))
-    )
-    return candidates[:_MAX_CANDIDATES]
-
-
-def _ground_nodes(a: Abstraction) -> int:
-    var_positions = sum(1 for _, sub in iter_subterms(a.body) if isinstance(sub, Var))
-    return term_size(a.body) - var_positions
+    ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0][0]))
+    return [cand for _, (_, cand) in ranked[:_MAX_CANDIDATES]]
 
 
-def _useful_motif(a: Abstraction) -> bool:
-    return (
-        1 <= len(a.params) <= _MAX_MOTIF_PARAMS
-        and term_size(a.body) >= _MIN_MOTIF_SIZE
-        and _ground_nodes(a) >= _MIN_GROUND_NODES
-    )
+def _size_and_ground_nodes(t: Term) -> tuple[int, int]:
+    """Node count, metavariable leaves included, and non-variable nodes."""
+    size = ground = 0
+    for _, sub in iter_subterms(t):
+        size += 1
+        ground += isinstance(sub, Node)
+    return size, ground

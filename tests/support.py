@@ -1,12 +1,28 @@
 """Shared test helpers: an independent reference lexer, exhaustive tree
-enumeration, and pattern subsumption checks."""
+enumeration, pattern subsumption checks, and a reference tradeoff
+compressor."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
+from typing import Sequence
 
-from mdlgauge.term import Node, Term, Var, match_term
+from mdlgauge import tradeoff
+from mdlgauge.term import (
+    Abstraction,
+    Node,
+    Term,
+    Var,
+    _match_cost,
+    iter_subterms,
+    lgg,
+    match_term,
+    render_term,
+    replace_at,
+    term_size,
+)
 
 # A one-regex reference lexer implementing the same cpp-like rules as the
 # production scanner, but via a single alternation and finditer.  Kept
@@ -85,3 +101,135 @@ def skolemize(t: Term) -> Term:
 def subsumes(general: Term, specific: Term) -> bool:
     """Whether some substitution carries ``general`` onto ``specific``."""
     return match_term(general, skolemize(specific)) is not None
+
+
+# ---------------------------------------------------------------------------
+# Reference tradeoff compressor.  The plain version of mdlgauge.tradeoff's
+# level compression: it indexes the corpus by root label alone, matches a
+# candidate against every node with that label, rebuilds the whole index
+# after each accepted entry, and hashes and measures subterms recursively.
+# The production compressor must agree with it exactly.
+
+
+def reference_compress(
+    corpus: Sequence[Term], level: tradeoff.MetalanguageLevel
+) -> tradeoff.CompressionResult:
+    run = tradeoff.CompressionResult([], list(corpus), 0, 0, 0)
+    candidates: list[Abstraction] = []
+    if level.index >= 1:
+        candidates.extend(_reference_constant_candidates(run.terms))
+    if level.index >= 2:
+        candidates.extend(_reference_motif_candidates(run.terms))
+    reference_greedy_rewrite(run, candidates)
+    run.compressed_size = sum(term_size(t) for t in run.terms) + sum(
+        term_size(a.body) for a in run.library
+    )
+    return run
+
+
+def reference_greedy_rewrite(
+    run: tradeoff.CompressionResult, candidates: list[Abstraction]
+) -> None:
+    if not candidates:
+        return
+    index = _reference_label_index(run.terms)
+    version = 0
+    heap: list = []
+
+    def score(cand: Abstraction, key: str) -> None:
+        sites = _reference_find_sites(index, cand)
+        per_site = sum(size - 1 - sum(map(term_size, args)) for _, _, size, args, _ in sites)
+        gain = per_site - term_size(cand.body)
+        if gain > 0:
+            heapq.heappush(heap, (-gain, key, version, cand, sites))
+
+    for cand in candidates:
+        score(cand, render_term(cand.body))
+    while heap:
+        _, key, seen, cand, sites = heapq.heappop(heap)
+        if seen != version:
+            score(cand, key)
+            continue
+        name = f"${len(run.library)}"
+        run.library.append(Abstraction(name, cand.params, cand.body))
+        for ti, path, _, args, cost in sites:
+            run.terms[ti] = replace_at(run.terms[ti], path, Node(name, args))
+            run.comparisons += cost
+            run.rewrites += 1
+        version += 1
+        index = _reference_label_index(run.terms)
+
+
+def _reference_label_index(terms):
+    index: dict[str, list] = {}
+    for ti, term in enumerate(terms):
+        for path, node in iter_subterms(term):
+            if isinstance(node, Node):
+                index.setdefault(node.label, []).append((ti, path, node))
+    return index
+
+
+def _reference_find_sites(index, candidate: Abstraction) -> list[tuple]:
+    """Outermost, non-overlapping (term index, path, size, args, cost)."""
+    root = candidate.body
+    if not isinstance(root, Node):
+        return []
+    hits = []
+    for ti, path, node in index.get(root.label, ()):
+        bindings, cost = _match_cost(root, node)
+        if bindings is not None:
+            args = tuple(bindings[p] for p in candidate.params)
+            hits.append((ti, path, term_size(node), args, cost))
+    hits.sort(key=lambda h: (h[0], len(h[1]), h[1]))
+    kept, taken = [], set()
+    for hit in hits:
+        ti, path = hit[0], hit[1]
+        if not any((ti, path[:i]) in taken for i in range(len(path) + 1)):
+            taken.add((ti, path))
+            kept.append(hit)
+    return kept
+
+
+def _reference_constant_candidates(terms: Sequence[Term]) -> list[Abstraction]:
+    counts: dict[Term, int] = {}
+    for term in terms:
+        for _, node in iter_subterms(term):
+            if isinstance(node, Node) and term_size(node) >= tradeoff._MIN_CONST_SIZE:
+                counts[node] = counts.get(node, 0) + 1
+    ranked = [
+        (occ * (term_size(t) - 1) - term_size(t), t) for t, occ in counts.items() if occ >= 2
+    ]
+    ranked = [(gain, t) for gain, t in ranked if gain > 0]
+    ranked.sort(key=lambda pair: (-pair[0], render_term(pair[1])))
+    return [Abstraction("const", (), t) for _, t in ranked]
+
+
+def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
+    pool = sorted(
+        {
+            node
+            for term in terms
+            for _, node in iter_subterms(term)
+            if isinstance(node, Node)
+            and tradeoff._MIN_MOTIF_SIZE <= term_size(node) <= tradeoff._MAX_WINDOW
+        },
+        key=render_term,
+    )
+
+    def ground_nodes(a: Abstraction) -> int:
+        return sum(1 for _, sub in iter_subterms(a.body) if isinstance(sub, Node))
+
+    found: dict[tuple, Abstraction] = {}
+    for i, left in enumerate(pool):
+        for right in pool[i + 1 : i + 3]:
+            if left.label != right.label or len(left.children) != len(right.children):
+                continue
+            cand = lgg([left, right])
+            if (
+                1 <= len(cand.params) <= tradeoff._MAX_MOTIF_PARAMS
+                and term_size(cand.body) >= tradeoff._MIN_MOTIF_SIZE
+                and ground_nodes(cand) >= tradeoff._MIN_GROUND_NODES
+            ):
+                found.setdefault((render_term(cand.body), cand.params), cand)
+    ranked = sorted(found.values(), key=lambda a: (-ground_nodes(a), render_term(a.body)))
+    return ranked[: tradeoff._MAX_CANDIDATES]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlgauge.sampling import random_ground_term, seeded
 from mdlgauge.term import (
@@ -26,6 +27,23 @@ from mdlgauge.term import (
     unify,
 )
 from support import all_patterns, all_trees, subsumes
+
+
+def term_strategy(leaves):
+    """Terms over a few labels, so that random pairs often share structure."""
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(
+            Node, st.sampled_from("fg"), st.lists(kids, min_size=1, max_size=3).map(tuple)
+        ),
+        max_leaves=10,
+    )
+
+
+GROUND_TERMS = term_strategy(st.builds(Node, st.sampled_from("ab")))
+PATTERN_TERMS = term_strategy(
+    st.one_of(st.builds(Node, st.sampled_from("ab")), st.builds(Var, st.sampled_from("xyz")))
+)
 
 HYPOT = Abstraction("hypot", ("a", "b"), parse_term("(+ (* ?a ?a) (* ?b ?b))"))
 
@@ -324,3 +342,25 @@ def test_lgg_requires_ground_inputs():
 def test_substitution_rejects_self_reference():
     with pytest.raises(ValueError):
         Substitution({"x": parse_term("(f ?x)")})
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GROUND_TERMS, min_size=1, max_size=4))
+def test_lgg_instantiates_back_and_subsumes_every_input(terms):
+    a, witnesses = lgg_with_witnesses(terms)
+    assert len(witnesses) == len(terms)
+    for t, args in zip(terms, witnesses):
+        assert instantiate(a, args) == t
+        assert subsumes(a.body, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PATTERN_TERMS, PATTERN_TERMS)
+def test_unifier_makes_both_sides_equal(a, b):
+    s = unify(a, b)
+    if s is not None:
+        assert s.apply(a) == s.apply(b)

@@ -4,15 +4,18 @@ import pytest
 
 from mdlgauge import tradeoff
 from mdlgauge.term import (
+    Abstraction,
     Node,
     match_term,
     lgg,
+    parse_term,
     render_term,
     subterm_at,
     term_size,
 )
 from mdlgauge.tradeoff import (
     LADDER,
+    CompressionResult,
     DomainSpec,
     InconsistentSpec,
     compress_with_level,
@@ -21,7 +24,7 @@ from mdlgauge.tradeoff import (
     generate_corpus_with_truth,
     ground_truth_floor,
 )
-from support import skolemize
+from support import reference_compress, reference_greedy_rewrite, skolemize
 
 L0, L1, L2 = LADDER
 
@@ -207,3 +210,130 @@ def test_library_calls_carry_arguments():
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         compress_with_level([], L1)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the reference compressor in tests/support.py
+
+
+def outcome(run):
+    """Everything a compression decides, in a comparable form."""
+    return (
+        [(a.name, a.params, render_term(a.body)) for a in run.library],
+        [render_term(t) for t in run.terms],
+        run.compressed_size,
+        run.comparisons,
+        run.rewrites,
+    )
+
+
+def greedy(rewrite, texts, candidates):
+    """Run a greedy rewriter on parsed ``texts`` with the given
+    (params, body text) candidates."""
+    run = CompressionResult([], [parse_term(t) for t in texts], 0, 0, 0)
+    rewrite(run, [Abstraction("cand", params, parse_term(b)) for params, b in candidates])
+    return outcome(run)
+
+
+REFERENCE_SPECS = [
+    DomainSpec(1, 6, 60, 2, 8, 0.4),
+    DomainSpec(2, 8, 80, 3, 7, 0.5, alphabet_size=3),
+    DomainSpec(3, 10, 100, 3, 8, 0.4),
+    DomainSpec(4, 5, 50, 1, 6, 0.3, alphabet_size=2),
+    DomainSpec(5, 8, 70, 0, 5, 0.0, alphabet_size=3),
+    DomainSpec(6, 12, 60, 2, 10, 0.4),
+    DomainSpec(7, 6, 120, 3, 12, 0.4),
+    DomainSpec(8, 10, 90, 2, 9, 0.5, alphabet_size=4),
+    DomainSpec(9, 4, 40, 2, 5, 0.6, alphabet_size=2),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"seed{s.seed}")
+def test_agrees_with_reference_on_generated_corpora(spec):
+    corpus = generate_corpus(spec)
+    snapshot = tuple(corpus)
+    for level in LADDER:
+        run = compress_with_level(corpus, level)
+        assert outcome(run) == outcome(reference_compress(corpus, level))
+        assert len(corpus) == len(snapshot)
+        assert all(t is s for t, s in zip(corpus, snapshot))
+
+
+# Each case: corpus texts, candidate (params, body) pairs.
+HAND_BUILT = {
+    # A chain where the motif's occurrences nest and overlap, next to a
+    # constant that also occurs inside the motif's sites.
+    "nested-and-overlapping": (
+        [
+            "(f (f (f (f (f a)))))",
+            "(g (f (f (f b))) (f (f (f b))))",
+            "(f (f (f b)))",
+            "(g (g (f (f a)) (f (f a))) (f (f (f b))))",
+        ],
+        [(("x",), "(f (f ?x))"), ((), "(f (f (f b)))"), (("x", "y"), "(g ?x ?y)"), (("x",), "?x")],
+    ),
+    # Once the constant is a library call, the motif's variable child must
+    # bind the call node ($0) at the rewritten node's parent.
+    "variable-child-matches-call": (
+        [
+            "(h (p q r s t) (k l m n))",
+            "(h (p q r s t) (k l m o))",
+            "(h (p q r s t) (k l m n))",
+            "(j (h (p q r s t) (k l m u)) (p q r s t))",
+            "(h (p q r s u) (k l m n))",
+        ],
+        [((), "(p q r s t)"), (("x", "y"), "(h ?x (k l m ?y))")],
+    ),
+    # Repeated variables bind consistently, including to call nodes and
+    # to metavariable leaves in the corpus.
+    "repeated-variables": (
+        [
+            "(g (a b c d e) (a b c d e))",
+            "(g (a b c d e) (a b c d x))",
+            "(g (h i) (h i))",
+            "(g (h i) (h j))",
+            "(g (h ?i) (h ?i))",
+            "(f (g (a b c d e) (a b c d e)) (a b c d e))",
+        ],
+        [(("x",), "(g ?x ?x)"), ((), "(a b c d e)"), (("x", "y"), "(f (g ?x ?x) ?y)")],
+    ),
+    # Rewriting the constant to the call $0 makes (g ?x ?x) match at the
+    # parent, which did not match before: the corpus already holds $0 leaves.
+    "rewrite-creates-match-at-ancestor": (
+        ["(g (k a b c d e) $0)"] * 4 + ["(g (h a) (h a))"] * 6,
+        [((), "(k a b c d e)"), (("x",), "(g ?x ?x)")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT, ids=str)
+def test_greedy_rewrite_agrees_with_reference(case):
+    texts, candidates = HAND_BUILT[case]
+    got = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    assert got == greedy(reference_greedy_rewrite, texts, candidates)
+    assert got[0], "expected at least one accepted entry"
+
+
+def test_rewrite_creates_match_at_ancestor():
+    texts, candidates = HAND_BUILT["rewrite-creates-match-at-ancestor"]
+    library, terms, _, _, rewrites = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    assert library == [("$0", (), "(k a b c d e)"), ("$1", ("x",), "(g ?x ?x)")]
+    # Four constant sites, then ten motif sites: four of them are new.
+    assert rewrites == 14
+    assert terms == ["($1 $0)"] * 4 + ["($1 (h a))"] * 6
+
+
+def test_variable_child_binds_call_node():
+    texts, candidates = HAND_BUILT["variable-child-matches-call"]
+    library, terms, _, _, _ = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    assert [entry[2] for entry in library] == ["(p q r s t)", "(h ?x (k l m ?y))"]
+    assert terms[0] == "($1 $0 n)"
+
+
+@pytest.mark.parametrize("case", ["nested-and-overlapping", "variable-child-matches-call"])
+def test_compress_agrees_with_reference_on_hand_built_corpora(case):
+    corpus = [parse_term(t) for t in HAND_BUILT[case][0]]
+    for level in LADDER:
+        assert outcome(compress_with_level(corpus, level)) == outcome(
+            reference_compress(corpus, level)
+        )
