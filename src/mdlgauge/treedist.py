@@ -1,16 +1,22 @@
 """Ordered tree edit distance between terms.
 
-``ted`` is the Zhang-Shasha keyroot algorithm; ``ted_oracle`` recomputes the
-same minimum by brute memoized recursion over forests and exists purely to
-cross-check ``ted`` on small inputs.  Metavariables are treated as ordinary
-labels, so both work on patterns too.
+``ted`` is the Zhang-Shasha keyroot algorithm, run on whichever side of the
+two trees needs fewer subproblems: as given, or with both trees mirrored
+(children reversed).  The left decomposition makes every node that has a
+left sibling a keyroot, so a right-spined comb costs it cubic time while
+its mirror image is cheap; mirroring both trees leaves the distance
+unchanged.  This is the two-strategy case of RTED (Pawlik & Augsten, PVLDB
+2011).  ``ted_oracle`` recomputes the same minimum by brute memoized
+recursion over forests and exists purely to cross-check ``ted`` on small
+inputs.  Metavariables are treated as ordinary labels, so both work on
+patterns too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .term import Term, Var, term_size
+from .term import Term, Var
 
 
 class SizeLimitExceeded(ValueError):
@@ -44,71 +50,139 @@ def _children(t: Term) -> tuple[Term, ...]:
     return () if isinstance(t, Var) else t.children
 
 
-def _annotate(root: Term) -> tuple[list[str], list[int], list[int]]:
-    """Postorder labels, leftmost-leaf-descendant indices, and keyroots."""
-    labels: list[str] = []
+def _postorder(root: Term, mirrored: bool, ids: dict[str, int]) -> tuple[list[int], list[int]]:
+    """Label ids and leftmost-leaf indices of ``root``'s nodes in post-order,
+    children taken right to left when ``mirrored``.  ``ids`` numbers the
+    labels and grows as new ones appear."""
+    labels: list[int] = []
     lmld: list[int] = []
+    stack: list[tuple[Term, int]] = [(root, -1)]
+    while stack:
+        t, first = stack.pop()
+        kids = _children(t)
+        if first < 0 and kids:
+            # Every node of t's subtree is numbered after this point, and
+            # the first of them is its leftmost leaf.
+            stack.append((t, len(labels)))
+            stack.extend([(kid, -1) for kid in (kids if mirrored else reversed(kids))])
+        else:
+            lmld.append(len(labels) if first < 0 else first)
+            labels.append(ids.setdefault(_label(t), len(ids)))
+    return labels, lmld
 
-    def walk(t: Term) -> tuple[int, int]:
-        first_leaf = -1
-        for child in _children(t):
-            _, leaf = walk(child)
-            if first_leaf < 0:
-                first_leaf = leaf
-        index = len(labels)
-        leaf = index if first_leaf < 0 else first_leaf
-        labels.append(_label(t))
-        lmld.append(leaf)
-        return index, leaf
 
-    walk(root)
-    last_with_lmld: dict[int, int] = {}
-    for i, leaf in enumerate(lmld):
-        last_with_lmld[leaf] = i
-    return labels, lmld, sorted(last_with_lmld.values())
+def _keyroots(lmld: list[int]) -> list[int]:
+    """The highest node on each leftmost path, in post-order."""
+    last_with_lmld = {leaf: i for i, leaf in enumerate(lmld)}
+    return sorted(last_with_lmld.values())
+
+
+def _decomposition_costs(lmld: list[int]) -> tuple[int, int]:
+    """Summed subtree sizes over the keyroots of the left decomposition and
+    over those of the mirrored one.  A mirrored keyroot is the root or a
+    node that is not its parent's last child; a last child is directly
+    followed by its parent in post-order."""
+    n = len(lmld)
+    left = sum(k - lmld[k] + 1 for k in _keyroots(lmld))
+    right = n + sum(i - lmld[i] + 1 for i in range(n - 1) if lmld[i + 1] > i)
+    return left, right
 
 
 def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     """Minimal total cost of node inserts, deletes, and relabels turning
     t1 into t2 (children order significant)."""
-    labels1, lmld1, keyroots1 = _annotate(t1)
-    labels2, lmld2, keyroots2 = _annotate(t2)
+    ids1: dict[str, int] = {}
+    ids2: dict[str, int] = {}
+    labels1, lmld1 = _postorder(t1, False, ids1)
+    labels2, lmld2 = _postorder(t2, False, ids2)
+    # Zhang-Shasha fills (sum over keyroots of t1 of their subtree sizes)
+    # times (the same sum for t2) forest-distance cells.  Mirroring both
+    # trees keeps the distance and turns right paths into left paths, so
+    # run on whichever side fills fewer.
+    left1, right1 = _decomposition_costs(lmld1)
+    left2, right2 = _decomposition_costs(lmld2)
+    if right1 * right2 < left1 * left2:
+        labels1, lmld1 = _postorder(t1, True, ids1)
+        labels2, lmld2 = _postorder(t2, True, ids2)
+    keyroots1, keyroots2 = _keyroots(lmld1), _keyroots(lmld2)
     n, m = len(labels1), len(labels2)
     dele, ins = costs.delete_cost, costs.insert_cost
-    td = [[0.0] * m for _ in range(n)]
+
+    # Columns are t2's post-order indices shifted by one: column c stands
+    # for node c - 1, and column lmld2[j] is the empty forest in front of
+    # keyroot j's subtree.  Rows do the same for t1.  Then one buffer serves
+    # every keyroot pair, and a forest that starts at node k's leftmost leaf
+    # sits at row lmld1[k] or column lmld2[k] without any offset.
+    lead2 = [0] + lmld2
+    relabel_to = []  # [label id of t1][column]
+    for a in ids1:
+        by_id = [costs.relabel(a, b) for b in ids2]
+        relabel_to.append([0.0] + [by_id[b] for b in labels2])
+    # inserts[y] and deletes[x]: the border costs, summed one at a time
+    inserts = [0.0] * (m + 1)
+    for y in range(1, m + 1):
+        inserts[y] = inserts[y - 1] + ins
+    deletes = [0.0] * (n + 1)
+    for x in range(1, n + 1):
+        deletes[x] = deletes[x - 1] + dele
+    td = [[0.0] * (m + 1) for _ in range(n)]
+    fd = [[0.0] * (m + 1) for _ in range(n + 1)]
 
     for i in keyroots1:
         li = lmld1[i]
         for j in keyroots2:
             lj = lmld2[j]
-            rows, cols = i - li + 2, j - lj + 2
-            fd = [[0.0] * cols for _ in range(rows)]
-            for x in range(1, rows):
-                fd[x][0] = fd[x - 1][0] + dele
-            for y in range(1, cols):
-                fd[0][y] = fd[0][y - 1] + ins
-            for x in range(1, rows):
-                ix = x + li - 1
-                for y in range(1, cols):
-                    jy = y + lj - 1
-                    if lmld1[ix] == li and lmld2[jy] == lj:
-                        best = min(
-                            fd[x - 1][y] + dele,
-                            fd[x][y - 1] + ins,
-                            fd[x - 1][y - 1] + costs.relabel(labels1[ix], labels2[jy]),
-                        )
-                        td[ix][jy] = best
-                    else:
-                        best = min(
-                            fd[x - 1][y] + dele,
-                            fd[x][y - 1] + ins,
-                            fd[lmld1[ix] - li][lmld2[jy] - lj] + td[ix][jy],
-                        )
-                    fd[x][y] = best
-    return td[n - 1][m - 1]
+            cols = range(lj + 1, j + 2)
+            fd[li][lj : j + 2] = inserts[: j - lj + 2]
+            for ix in range(li, i + 1):
+                prev, cur, tdrow = fd[ix], fd[ix + 1], td[ix]
+                best = cur[lj] = deletes[ix - li + 1]
+                before = fd[lmld1[ix]]
+                if lmld1[ix] == li:
+                    # ix is on i's leftmost path: a node pair on both
+                    # leftmost paths is a subtree distance, kept in td.
+                    rel = relabel_to[labels1[ix]]
+                    for c in cols:
+                        cost = best + ins
+                        best = prev[c] + dele
+                        if cost < best:
+                            best = cost
+                        lc = lead2[c]
+                        if lc == lj:
+                            cost = prev[c - 1] + rel[c]
+                            if cost < best:
+                                best = cost
+                            tdrow[c] = best
+                        else:
+                            cost = before[lc] + tdrow[c]
+                            if cost < best:
+                                best = cost
+                        cur[c] = best
+                else:
+                    for c in cols:
+                        cost = best + ins
+                        best = prev[c] + dele
+                        if cost < best:
+                            best = cost
+                        cost = before[lead2[c]] + tdrow[c]
+                        if cost < best:
+                            best = cost
+                        cur[c] = best
+    return td[n - 1][m]
 
 
 _ORACLE_LIMIT = 10
+
+
+def _over_oracle_limit(t: Term) -> bool:
+    """Whether ``t`` has more than _ORACLE_LIMIT nodes; stops counting there."""
+    stack, count = [t], 0
+    while stack:
+        count += 1
+        if count > _ORACLE_LIMIT:
+            return True
+        stack.extend(_children(stack.pop()))
+    return False
 
 
 def ted_oracle(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
@@ -117,7 +191,7 @@ def ted_oracle(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     Only accepts trees of up to 10 nodes each; exponential blowup is
     acceptable at that scale and the simplicity is the point.
     """
-    if term_size(t1) > _ORACLE_LIMIT or term_size(t2) > _ORACLE_LIMIT:
+    if _over_oracle_limit(t1) or _over_oracle_limit(t2):
         raise SizeLimitExceeded(f"ted_oracle accepts at most {_ORACLE_LIMIT} nodes per tree")
     dele, ins = costs.delete_cost, costs.insert_cost
     memo: dict[tuple, float] = {}

@@ -112,14 +112,13 @@ def estimate_lipschitz(
         )
         if a.params:
             coord = rng.randrange(len(a.params))
-            perturbed = (
-                base[:coord]
-                + (perturb(base[coord], rng.randrange(2**32)),)
-                + base[coord + 1:]
-            )
+            changed = perturb(base[coord], rng.randrange(2**32))
+            perturbed = base[:coord] + (changed,) + base[coord + 1:]
+            # the other coordinates are unchanged and contribute ted(x, x) == 0
+            d_in = ted(base[coord], changed, costs)
         else:
             perturbed = base
-        d_in = sum(ted(x, y, costs) for x, y in zip(base, perturbed))
+            d_in = 0.0
         d_out = ted(instantiate(a, base), instantiate(a, perturbed), costs)
         if d_out > 0:
             forward_k = max(forward_k, float("inf") if d_in == 0 else d_out / d_in)

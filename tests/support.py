@@ -1,6 +1,6 @@
 """Shared test helpers: an independent reference lexer, exhaustive tree
-enumeration, pattern subsumption checks, and a reference tradeoff
-compressor."""
+enumeration, pattern subsumption checks, a reference tradeoff compressor
+and a reference tree edit distance."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from mdlgauge.term import (
     replace_at,
     term_size,
 )
+from mdlgauge.treedist import UNIT_COSTS, CostModel, _children, _label
 
 # A one-regex reference lexer implementing the same cpp-like rules as the
 # production scanner, but via a single alternation and finditer.  Kept
@@ -233,3 +234,72 @@ def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
                 found.setdefault((render_term(cand.body), cand.params), cand)
     ranked = sorted(found.values(), key=lambda a: (-ground_nodes(a), render_term(a.body)))
     return ranked[: tradeoff._MAX_CANDIDATES]
+
+
+# ---------------------------------------------------------------------------
+# Reference tree edit distance.  Plain Zhang-Shasha on the left decomposition
+# only: labels and leftmost leaves from a recursive walk, a fresh
+# forest-distance table for every keyroot pair, and costs.relabel called in
+# the inner loop.  The production ted must agree with it exactly.
+
+
+def _reference_annotate(root: Term) -> tuple[list[str], list[int], list[int]]:
+    """Postorder labels, leftmost-leaf-descendant indices, and keyroots."""
+    labels: list[str] = []
+    lmld: list[int] = []
+
+    def walk(t: Term) -> tuple[int, int]:
+        first_leaf = -1
+        for child in _children(t):
+            _, leaf = walk(child)
+            if first_leaf < 0:
+                first_leaf = leaf
+        index = len(labels)
+        leaf = index if first_leaf < 0 else first_leaf
+        labels.append(_label(t))
+        lmld.append(leaf)
+        return index, leaf
+
+    walk(root)
+    last_with_lmld: dict[int, int] = {}
+    for i, leaf in enumerate(lmld):
+        last_with_lmld[leaf] = i
+    return labels, lmld, sorted(last_with_lmld.values())
+
+
+def reference_ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
+    labels1, lmld1, keyroots1 = _reference_annotate(t1)
+    labels2, lmld2, keyroots2 = _reference_annotate(t2)
+    n, m = len(labels1), len(labels2)
+    dele, ins = costs.delete_cost, costs.insert_cost
+    td = [[0.0] * m for _ in range(n)]
+
+    for i in keyroots1:
+        li = lmld1[i]
+        for j in keyroots2:
+            lj = lmld2[j]
+            rows, cols = i - li + 2, j - lj + 2
+            fd = [[0.0] * cols for _ in range(rows)]
+            for x in range(1, rows):
+                fd[x][0] = fd[x - 1][0] + dele
+            for y in range(1, cols):
+                fd[0][y] = fd[0][y - 1] + ins
+            for x in range(1, rows):
+                ix = x + li - 1
+                for y in range(1, cols):
+                    jy = y + lj - 1
+                    if lmld1[ix] == li and lmld2[jy] == lj:
+                        best = min(
+                            fd[x - 1][y] + dele,
+                            fd[x][y - 1] + ins,
+                            fd[x - 1][y - 1] + costs.relabel(labels1[ix], labels2[jy]),
+                        )
+                        td[ix][jy] = best
+                    else:
+                        best = min(
+                            fd[x - 1][y] + dele,
+                            fd[x][y - 1] + ins,
+                            fd[lmld1[ix] - li][lmld2[jy] - lj] + td[ix][jy],
+                        )
+                    fd[x][y] = best
+    return td[n - 1][m - 1]

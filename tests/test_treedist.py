@@ -1,11 +1,14 @@
-"""Tree edit distance: oracle equivalence, metric axioms, cost knobs."""
+"""Tree edit distance: oracle equivalence, agreement with the reference
+Zhang-Shasha, metric axioms, cost knobs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdlgauge import treedist
 from mdlgauge.sampling import random_ground_term, seeded
 from mdlgauge.term import Node, parse_term
-from mdlgauge.treedist import CostModel, SizeLimitExceeded, ted, ted_oracle
-from support import all_trees
+from mdlgauge.treedist import UNIT_COSTS, CostModel, SizeLimitExceeded, ted, ted_oracle
+from support import all_trees, reference_ted
 
 
 def test_identity():
@@ -114,3 +117,145 @@ def test_metavariables_act_as_labels():
     assert ted(Var("x"), Var("x")) == 0.0
     assert ted(Var("x"), Var("y")) == 1.0
     assert ted(Var("x"), Node("x")) == 1.0  # '?x' and 'x' differ
+
+
+# ---------------------------------------------------------------------------
+# agreement with the reference Zhang-Shasha on the shapes that decide the
+# left or mirrored side
+
+
+class ClassCosts(CostModel):
+    """Relabeling is cheap between two letters or two digits, dear across."""
+
+    def relabel(self, a: str, b: str) -> float:
+        if a == b:
+            return 0.0
+        return 0.25 if a.isalpha() == b.isalpha() else 1.5
+
+
+# Sums of these costs are exact in binary floating point, so the order in
+# which ted adds them cannot change the result.
+EXACT_COSTS = [UNIT_COSTS, CostModel(2.0, 0.5, 1.5), ClassCosts(0.5, 1.0, 1.0)]
+# 0.1, 0.3 and 0.7 have no exact binary form: the mirrored side adds the
+# same costs in another order, which can move the last bits.  Bound: about
+# n rounding errors of 2**-53 relative each, for n of at most a few hundred.
+INEXACT_COSTS = CostModel(0.1, 0.3, 0.7)
+LABELS = ("a", "b", "c", "1", "2")
+
+
+def comb(shape: str, n: int, leaves, inner) -> Node:
+    """A comb of ``n`` (odd) nodes: a spine of (n - 1) / 2 internal nodes,
+    each with one leaf child, on the left, on the right, or alternating."""
+    t = Node(leaves[0])
+    for i in range((n - 1) // 2):
+        leaf = Node(leaves[i + 1])
+        spine_right = shape == "right" or (shape == "zigzag" and i % 2 == 0)
+        t = Node(inner[i], (leaf, t) if spine_right else (t, leaf))
+    return t
+
+
+def random_comb(rng, shape: str, n: int) -> Node:
+    leaves = [rng.choice(LABELS) for _ in range(n)]
+    return comb(shape, n, leaves, [rng.choice(LABELS) for _ in range(n)])
+
+
+def mirror(t):
+    if isinstance(t, Node):
+        return Node(t.label, tuple(mirror(c) for c in reversed(t.children)))
+    return t
+
+
+def assert_agrees(t1, t2, every_cost_model=True):
+    if not every_cost_model:
+        assert ted(t1, t2) == reference_ted(t1, t2)
+        return
+    for costs in EXACT_COSTS:
+        assert ted(t1, t2, costs) == reference_ted(t1, t2, costs)
+    want = reference_ted(t1, t2, INEXACT_COSTS)
+    assert ted(t1, t2, INEXACT_COSTS) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "zigzag"])
+def test_agrees_with_reference_on_combs(shape):
+    rng = seeded("ted-combs", shape)
+    for n in (11, 21, 31, 61):
+        leaves = [rng.choice(LABELS) for _ in range(n)]
+        a = comb(shape, n, leaves, [rng.choice(LABELS) for _ in range(n)])
+        b = comb(shape, n, leaves, ["z"] * n)
+        other = random_comb(rng, rng.choice(("left", "right", "zigzag")), rng.choice((11, 21)))
+        # unit costs alone on the largest combs, where the reference takes
+        # cubic time on right combs
+        every_cost_model = n <= 31
+        assert_agrees(a, b, every_cost_model)
+        assert_agrees(a, other, every_cost_model)
+        assert_agrees(other, a, every_cost_model)
+
+
+def test_agrees_with_reference_on_random_trees():
+    rng = seeded("ted-reference")
+    for _ in range(25):
+        t1 = random_ground_term(rng, rng.randint(1, 60), LABELS)
+        t2 = random_ground_term(rng, rng.randint(1, 60), LABELS)
+        assert_agrees(t1, t2)
+
+
+def test_left_side_matches_reference_bit_for_bit():
+    # Left combs run on the left side, which adds costs in the reference's
+    # order, so even inexact costs agree exactly.
+    rng = seeded("ted-left")
+    for n in (11, 31, 61):
+        a, b = random_comb(rng, "left", n), random_comb(rng, "left", n)
+        assert ted(a, b, INEXACT_COSTS) == reference_ted(a, b, INEXACT_COSTS)
+
+
+def test_runs_on_the_side_with_fewer_subproblems(monkeypatch):
+    sides = []
+    postorder = treedist._postorder
+
+    def spy(t, mirrored, ids):
+        sides.append(mirrored)
+        return postorder(t, mirrored, ids)
+
+    monkeypatch.setattr(treedist, "_postorder", spy)
+    rng = seeded("ted-side")
+    ted(random_comb(rng, "right", 41), random_comb(rng, "right", 41))
+    assert sides.count(True) == 2  # both trees mirrored, never one alone
+    sides.clear()
+    ted(random_comb(rng, "left", 41), random_comb(rng, "left", 41))
+    assert True not in sides
+
+
+def test_deep_chain_is_not_recursive():
+    chain = Node("a")
+    for _ in range(4999):
+        chain = Node("f", (chain,))
+    assert ted(chain, Node("a")) == 4999.0
+    assert ted(Node("a"), chain) == 4999.0
+    with pytest.raises(SizeLimitExceeded):
+        ted_oracle(chain, Node("a"))
+    with pytest.raises(SizeLimitExceeded):
+        ted_oracle(Node("a"), chain)
+
+
+TREES = st.recursive(
+    st.builds(Node, st.sampled_from("ab")),
+    lambda kids: st.builds(
+        Node, st.sampled_from("fg"), st.lists(kids, min_size=1, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES, TREES, TREES)
+def test_metric_axioms(a, b, c):
+    assert ted(a, a) == 0.0
+    assert ted(a, b) == ted(b, a)
+    assert ted(a, c) <= ted(a, b) + ted(b, c)
+    assert (ted(a, b) > 0.0) == (a != b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES, TREES, st.sampled_from(EXACT_COSTS))
+def test_mirroring_both_trees_keeps_the_distance(a, b, costs):
+    assert ted(a, b, costs) == ted(mirror(a), mirror(b), costs)

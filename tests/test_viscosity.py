@@ -2,6 +2,7 @@
 
 import pytest
 
+from mdlgauge import viscosity
 from mdlgauge.sampling import random_abstraction, random_ground_term, seeded
 from mdlgauge.term import (
     Abstraction,
@@ -125,3 +126,18 @@ def test_canonical_hypot_sample_ratio():
     d_in = sum(ted(a, b) for a, b in zip(x, x2))
     d_out = ted(instantiate(HYPOT, x), instantiate(HYPOT, x2))
     assert (d_in, d_out) == (2.0, 4.0)
+
+
+def test_d_in_measures_only_the_perturbed_coordinate(monkeypatch):
+    # Every other coordinate is the same object, at distance 0, so each
+    # sample costs one ted for d_in and one for d_out.
+    calls = []
+
+    def counting_ted(t1, t2, costs):
+        calls.append((t1, t2))
+        return ted(t1, t2, costs)
+
+    monkeypatch.setattr(viscosity, "ted", counting_ted)
+    estimate = estimate_lipschitz(HYPOT, samples=50, seed=3)
+    assert len(calls) == 100
+    assert (estimate.forward_k, estimate.inverse_ok) == (2.0, True)
