@@ -69,9 +69,21 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"manifest {path} is nested too deeply") from exc
 
+    if not isinstance(raw, dict):
+        raise ManifestInvalid([f"manifest must be an object, not {_json_kind(raw)}"])
     problems: list[str] = []
     base = path.parent
+
+    def typed(value, kind: type, what: str):
+        """``value`` if it is a ``kind``; otherwise None, with the problem
+        recorded."""
+        if isinstance(value, kind):
+            return value
+        problems.append(f"{what} must be {_json_kind(kind())}, not {_json_kind(value)}")
+        return None
 
     dialect = raw.get("tokenizer_dialect", "cpp-like")
     if dialect not in DIALECTS:
@@ -79,14 +91,19 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
 
     use_cases = []
     names_seen = set()
-    for entry in raw.get("use_cases", []):
-        name = entry.get("name", "")
+    for i, entry in enumerate(typed(raw.get("use_cases", []), list, "use_cases") or []):
+        if typed(entry, dict, f"use case {i}") is None:
+            continue
+        name = typed(entry.get("name", ""), str, f"use case {i}: name")
+        if name is None:
+            continue
         if not name:
             problems.append("use case without a name")
         elif name in names_seen:
             problems.append(f"duplicate use case {name!r}")
         names_seen.add(name)
-        use_cases.append(UseCase(name, entry.get("description", "")))
+        description = typed(entry.get("description", ""), str, f"use case {name!r}: description")
+        use_cases.append(UseCase(name, description or ""))
 
     def read_source(rel: str, owner: str) -> str:
         try:
@@ -98,38 +115,52 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
     candidates = []
     cand_names = set()
     chain_indices = set()
-    for entry in raw.get("candidates", []):
-        name = entry.get("name", "")
+    for i, entry in enumerate(typed(raw.get("candidates", []), list, "candidates") or []):
+        if typed(entry, dict, f"candidate {i}") is None:
+            continue
+        name = typed(entry.get("name", ""), str, f"candidate {i}: name")
+        if name is None:
+            continue
         if not name:
             problems.append("candidate without a name")
         elif name in cand_names:
             problems.append(f"duplicate candidate {name!r}")
         cand_names.add(name)
+        owner = f"candidate {name!r}"
         chain_index = entry.get("chain_index")
         if not isinstance(chain_index, int) or chain_index < 0:
-            problems.append(f"candidate {name!r}: chain_index must be a nonnegative integer")
+            problems.append(f"{owner}: chain_index must be a nonnegative integer")
             chain_index = -1
         elif chain_index in chain_indices:
-            problems.append(f"candidate {name!r}: duplicate chain_index {chain_index}")
+            problems.append(f"{owner}: duplicate chain_index {chain_index}")
         chain_indices.add(chain_index)
 
-        component = read_source(entry.get("component", ""), f"candidate {name!r}")
+        component = typed(entry.get("component", ""), str, f"{owner}: component")
+        component = read_source(component, owner) if component is not None else ""
         shared = entry.get("shared")
-        shared_source = read_source(shared, f"candidate {name!r}") if shared else ""
+        if shared is not None:
+            shared = typed(shared, str, f"{owner}: shared")
+        shared_source = read_source(shared, owner) if shared else ""
 
         adaptations = {}
-        listed = entry.get("adaptations", {})
-        for use in use_cases:
-            if use.name not in listed:
-                problems.append(f"candidate {name!r}: no adaptation for use case {use.name!r}")
-        for use_name, rel in listed.items():
-            if use_name not in names_seen:
-                problems.append(f"candidate {name!r}: adaptation for unknown use case {use_name!r}")
-            adaptations[use_name] = read_source(rel, f"candidate {name!r} / {use_name!r}")
+        listed = typed(entry.get("adaptations", {}), dict, f"{owner}: adaptations")
+        if listed is not None:
+            for use in use_cases:
+                if use.name not in listed:
+                    problems.append(f"{owner}: no adaptation for use case {use.name!r}")
+            for use_name, rel in listed.items():
+                if use_name not in names_seen:
+                    problems.append(f"{owner}: adaptation for unknown use case {use_name!r}")
+                where = f"{owner} / {use_name!r}"
+                rel = typed(rel, str, where)
+                adaptations[use_name] = read_source(rel, where) if rel is not None else ""
 
-        inapplicable = frozenset(entry.get("inapplicable", []))
+        inapplicable = typed(entry.get("inapplicable", []), list, f"{owner}: inapplicable") or []
+        inapplicable = frozenset(
+            u for u in inapplicable if typed(u, str, f"{owner}: inapplicable entry") is not None
+        )
         for use_name in sorted(inapplicable - names_seen):
-            problems.append(f"candidate {name!r}: inapplicable lists unknown use case {use_name!r}")
+            problems.append(f"{owner}: inapplicable lists unknown use case {use_name!r}")
 
         candidates.append(
             Candidate(name, chain_index, component, adaptations, inapplicable, shared_source)
@@ -144,6 +175,21 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
 
 # ---------------------------------------------------------------------------
 # Helpers
+
+
+def _json_kind(value) -> str:
+    """The JSON name of a decoded value's type, with its article."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, list):
+        return "a list"
+    return "an object"
 
 
 def _read_text(path: str) -> str:

@@ -8,13 +8,22 @@ abstraction), L1 (named constants for repeated ground subterms), and L2
 For each level we report the compression ratio achieved and the mean
 matching work per reuse, which together trace the two curves: more powerful
 mechanisms compress better and cost more to invert.
+
+Each level picks library entries greedily by savings.  The candidates are
+filed once in a discrimination tree keyed on their bodies' pre-order
+(label, arity) symbols, where a metavariable skips one whole subterm.
+Every corpus node is looked up in it once, and only the candidates that
+agree with the node's skeleton are matched against it.  Each candidate
+keeps a list of its hits.  After an accepted entry, only the rewritten
+subterms and their ancestors lose their hits and are looked up again, so a
+candidate is re-scored from its hit list, never by a scan of the corpus.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .sampling import leaf_paths, random_ground_term, seeded
 from .term import (
@@ -363,63 +372,124 @@ class _Site:
     cost: int
 
 
-class _SiteIndex:
-    """The Node occurrences of a corpus, bucketed by label and arity, then
-    by the tuple of the children's labels (None for a metavariable child).
+class _CandidateTrie:
+    """A discrimination tree over candidate bodies (McCune, JAR 9(2), 1992;
+    Graf, *Term Indexing*, LNCS 1053, 1996).
 
-    A pattern visits only the buckets that agree with its root and with its
-    non-variable children; a variable child is a wildcard, so it also
-    admits library calls.  After a rewrite only the rewritten subterms and
-    their ancestors are filed again.
+    A body is filed under its pre-order sequence of (label, arity) symbols,
+    with None for a metavariable.  These sequences are prefix-free, so every
+    body ends at a leaf, the list of candidates with that skeleton; an inner
+    node is a dict from symbol to child.  Looking up a corpus node follows
+    the edges that agree with it, and a None edge skips one whole subterm,
+    library calls and metavariable leaves included.  So a candidate that
+    comes back can fail to match the node only on a repeated variable.
     """
 
-    def __init__(self, terms: Sequence[Term]):
-        # (label, arity) -> child labels -> term index -> path -> node
-        self._shapes: dict[tuple[str, int], dict[tuple, dict[int, dict]]] = {}
-        for ti, term in enumerate(terms):
-            self._add(ti, _region(term, [()]))
+    def __init__(self, bodies: Sequence[Term]):
+        self._root: dict = {}
+        self._leaves: dict[int, list[int]] = {}  # candidate -> its leaf
+        for ci, body in enumerate(bodies):
+            if isinstance(body, Node):  # a bare metavariable has no sites
+                *path, last = [
+                    None if isinstance(t, Var) else (t.label, len(t.children))
+                    for _, t in iter_subterms(body)
+                ]
+                inner = self._root
+                for symbol in path:
+                    inner = inner.setdefault(symbol, {})
+                leaf = self._leaves[ci] = inner.setdefault(last, [])
+                leaf.append(ci)
 
-    def update(
-        self, ti: int, before: Term, after: Term, paths: list[tuple[int, ...]]
-    ) -> None:
-        """Term ``ti`` was ``before`` until its subterms at ``paths`` were
-        replaced, giving ``after``."""
-        self._remove(ti, _region(before, paths))
-        self._add(ti, _region(after, paths))
+    def remove(self, ci: int) -> None:
+        """Drop candidate ``ci``.  Its branch stays, and may lead nowhere."""
+        leaf = self._leaves.pop(ci, None)
+        if leaf is not None:
+            leaf.remove(ci)
 
-    def nodes_like(self, pattern: Node) -> Iterator[tuple[int, tuple[int, ...], Node]]:
-        """(term index, path, node) of every node the prefilter cannot rule
-        out as a match of ``pattern``."""
-        buckets = self._shapes.get((pattern.label, len(pattern.children)), {})
-        fixed = [
-            (i, c.label) for i, c in enumerate(pattern.children) if isinstance(c, Node)
+    def lookup(self, node: Node) -> list[int]:
+        """The candidates whose skeleton agrees with ``node``."""
+        # Every body in the trie is a Node, so the root has no None edge,
+        # and most corpus nodes are ruled out by their own symbol.
+        first = self._root.get((node.label, len(node.children)))
+        if first is None:
+            return []
+        found: list[int] = []
+        # A trie position and the subterms of ``node`` still to be read
+        # there, as a linked list of (subterm, rest) pairs ending in None.
+        rest = None
+        for c in reversed(node.children):
+            rest = (c, rest)
+        stack: list[tuple] = [(first, rest)]
+        while stack:
+            at, pending = stack.pop()
+            if pending is None:
+                found.extend(at)
+                continue
+            t, rest = pending
+            skip = at.get(None)
+            if skip is not None:
+                stack.append((skip, rest))
+            if isinstance(t, Node):
+                child = at.get((t.label, len(t.children)))
+                if child is not None:
+                    for c in reversed(t.children):
+                        rest = (c, rest)
+                    stack.append((child, rest))
+        return found
+
+
+class _HitLists:
+    """Every match of every live candidate's body in ``terms``, the list
+    that accepted entries rewrite in place.
+
+    Every corpus node is looked up in the candidate trie once, and
+    ``_match_cost`` runs only on the candidates that come back.  After an
+    accepted entry only the rewritten subterms and their ancestors lose
+    their hits and are looked up again.  A dead candidate, one that was
+    accepted or scored no gain, leaves the trie and keeps no hits.
+    """
+
+    def __init__(self, candidates: Sequence[Abstraction], terms: list[Term]):
+        self.candidates = candidates
+        self.terms = terms
+        self.trie = _CandidateTrie([c.body for c in candidates])
+        # Per candidate, (term index, path) -> site; None once it is dead.
+        self.hits: list[Optional[dict[tuple[int, tuple[int, ...]], _Site]]] = [
+            {} for _ in candidates
         ]
-        for labels, by_term in buckets.items():
-            if all(labels[i] == label for i, label in fixed):
-                for ti, nodes in by_term.items():
-                    for path, node in nodes.items():
-                        yield ti, path, node
+        # (term index, path) -> the candidates with a hit there, dead or not
+        self.owners: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        for ti, term in enumerate(terms):
+            self._file(ti, _region(term, [()]))
 
-    def _add(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
+    def sites(self, ci: int) -> list[_Site]:
+        """Outermost, non-overlapping occurrences of candidate ``ci``."""
+        return _outermost(self.hits[ci].values())
+
+    def kill(self, ci: int) -> None:
+        self.trie.remove(ci)
+        self.hits[ci] = None
+
+    def update(self, changed: dict[int, tuple[Term, list[tuple[int, ...]]]]) -> None:
+        """Each term ``ti`` in ``changed`` was ``before`` until its subterms
+        at ``paths`` were replaced."""
+        for ti, (before, paths) in changed.items():
+            for path in _region(before, paths):
+                for ci in self.owners.pop((ti, path), ()):
+                    hits = self.hits[ci]
+                    if hits is not None:
+                        del hits[ti, path]
+            self._file(ti, _region(self.terms[ti], paths))
+
+    def _file(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
         for path, node in region.items():
-            labels = _child_labels(node)
-            buckets = self._shapes.setdefault((node.label, len(labels)), {})
-            buckets.setdefault(labels, {}).setdefault(ti, {})[path] = node
-
-    def _remove(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
-        for path, node in region.items():
-            labels = _child_labels(node)
-            buckets = self._shapes[node.label, len(labels)]
-            by_term = buckets[labels]
-            del by_term[ti][path]
-            if not by_term[ti]:
-                del by_term[ti]
-                if not by_term:
-                    del buckets[labels]
-
-
-def _child_labels(node: Node) -> tuple[Optional[str], ...]:
-    return tuple([getattr(c, "label", None) for c in node.children])
+            for ci in self.trie.lookup(node):
+                cand = self.candidates[ci]
+                bindings, cost = _match_cost(cand.body, node)
+                if bindings is not None:
+                    args = tuple(bindings[p] for p in cand.params)
+                    self.hits[ci][ti, path] = _Site(ti, path, term_size(node), args, cost)
+                    self.owners.setdefault((ti, path), []).append(ci)
 
 
 def _region(term: Term, paths: list[tuple[int, ...]]) -> dict[tuple[int, ...], Node]:
@@ -436,21 +506,11 @@ def _region(term: Term, paths: list[tuple[int, ...]]) -> dict[tuple[int, ...], N
     return region
 
 
-def _find_sites(index: _SiteIndex, candidate: Abstraction) -> list[_Site]:
-    """Outermost, non-overlapping occurrences of the candidate's body."""
-    root = candidate.body
-    if not isinstance(root, Node):
-        return []
-    hits = []
-    for ti, path, node in index.nodes_like(root):
-        bindings, cost = _match_cost(root, node)
-        if bindings is not None:
-            args = tuple(bindings[p] for p in candidate.params)
-            hits.append(_Site(ti, path, term_size(node), args, cost))
-    hits.sort(key=lambda s: (s.term_index, len(s.path), s.path))
+def _outermost(hits: Iterable[_Site]) -> list[_Site]:
+    """The outermost, non-overlapping sites among ``hits``."""
     kept: list[_Site] = []
     taken: dict[int, set[tuple[int, ...]]] = {}
-    for site in hits:
+    for site in sorted(hits, key=lambda s: (s.term_index, len(s.path), s.path)):
         paths = taken.setdefault(site.term_index, set())
         if any(site.path[:i] in paths for i in range(len(site.path) + 1)):
             continue
@@ -470,28 +530,31 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
     savings stay positive."""
     if not candidates:
         return
-    index = _SiteIndex(run.terms)
+    index = _HitLists(candidates, run.terms)
     version = 0
-    # Keys are distinct renderings, so heap order never compares candidates
-    # or sites.  An entry scored at the current version carries the sites
-    # that are still valid, since the index changes only with the version.
-    heap: list[tuple[int, str, int, Abstraction, list[_Site]]] = []
+    # Keys are distinct renderings, so heap order never compares sites.  An
+    # entry scored at the current version carries the sites that are still
+    # valid, since the hit lists change only with the version.
+    heap: list[tuple[int, str, int, int, list[_Site]]] = []
 
-    def score(cand: Abstraction, key: str) -> None:
-        sites = _find_sites(index, cand)
-        gain = _savings(cand, sites)
+    def score(ci: int, key: str) -> None:
+        sites = index.sites(ci)
+        gain = _savings(candidates[ci], sites)
         if gain > 0:
-            heapq.heappush(heap, (-gain, key, version, cand, sites))
+            heapq.heappush(heap, (-gain, key, version, ci, sites))
+        else:
+            index.kill(ci)
 
-    for cand in candidates:
-        score(cand, render_term(cand.body))
+    for ci, cand in enumerate(candidates):
+        score(ci, render_term(cand.body))
     while heap:
-        _, key, seen, cand, sites = heapq.heappop(heap)
+        _, key, seen, ci, sites = heapq.heappop(heap)
         if seen != version:
-            score(cand, key)
+            score(ci, key)
             continue
+        index.kill(ci)
         name = f"${len(run.library)}"
-        run.library.append(Abstraction(name, cand.params, cand.body))
+        run.library.append(Abstraction(name, candidates[ci].params, candidates[ci].body))
         changed: dict[int, tuple[Term, list[tuple[int, ...]]]] = {}
         for site in sites:
             ti = site.term_index
@@ -500,8 +563,7 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
             run.comparisons += site.cost
             run.rewrites += 1
         version += 1
-        for ti, (before, paths) in changed.items():
-            index.update(ti, before, run.terms[ti], paths)
+        index.update(changed)
 
 
 def _constant_candidates(pool: _SubtermPool) -> list[Abstraction]:

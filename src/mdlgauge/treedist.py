@@ -14,6 +14,7 @@ patterns too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .term import Term, Var
@@ -32,8 +33,11 @@ class CostModel:
     relabel_cost: float = 1.0
 
     def __post_init__(self):
-        if min(self.insert_cost, self.delete_cost, self.relabel_cost) < 0:
-            raise ValueError("edit costs must be nonnegative")
+        # Written so that NaN fails too.
+        if not all(
+            0 <= c < math.inf for c in (self.insert_cost, self.delete_cost, self.relabel_cost)
+        ):
+            raise ValueError("edit costs must be finite and nonnegative")
 
     def relabel(self, a: str, b: str) -> float:
         return 0.0 if a == b else self.relabel_cost

@@ -73,6 +73,68 @@ def test_manifest_missing_file_reported(tmp_path):
     assert sum("missing or unreadable" in p for p in err.value.problems) == 2
 
 
+def one_candidate(**fields):
+    """A manifest with use case "u" and candidate "x", overriding ``fields``
+    of the candidate."""
+    candidate = {"name": "x", "chain_index": 0, "component": "x.cpp",
+                 "adaptations": {"u": "x_u.cpp"}}
+    candidate.update(fields)
+    return {"use_cases": [{"name": "u"}], "candidates": [candidate]}
+
+
+@pytest.mark.parametrize(
+    "manifest, problem",
+    [
+        ([1, 2], "manifest must be an object, not a list"),
+        ("scenario", "manifest must be an object, not a string"),
+        ({"candidates": 3}, "candidates must be a list, not a number"),
+        ({"use_cases": {"name": "u"}}, "use_cases must be a list, not an object"),
+        ({"use_cases": ["u"]}, "use case 0 must be an object, not a string"),
+        ({"use_cases": [{"name": 5}]}, "use case 0: name must be a string, not a number"),
+        ({"use_cases": [{"name": "u", "description": []}]},
+         "use case 'u': description must be a string, not a list"),
+        ({"candidates": [None]}, "candidate 0 must be an object, not null"),
+        ({"candidates": [{"name": ["x"]}]}, "candidate 0: name must be a string, not a list"),
+        (one_candidate(component=7), "candidate 'x': component must be a string, not a number"),
+        (one_candidate(shared=True), "candidate 'x': shared must be a string, not a boolean"),
+        (one_candidate(adaptations=["x_u.cpp"]),
+         "candidate 'x': adaptations must be an object, not a list"),
+        (one_candidate(adaptations={"u": 1}), "candidate 'x' / 'u' must be a string, not a number"),
+        (one_candidate(inapplicable="u"), "candidate 'x': inapplicable must be a list, not a string"),
+        (one_candidate(inapplicable=[["u"]]),
+         "candidate 'x': inapplicable entry must be a string, not a list"),
+    ],
+)
+def test_manifest_shape_error_is_an_input_error(capsys, tmp_path, manifest, problem):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ManifestInvalid) as err:
+        load_manifest(path)
+    assert problem in err.value.problems
+    code, out, stderr = run_cli(capsys, "mdl", str(path))
+    assert (code, out) == (2, "")
+    assert problem in stderr
+
+
+def test_deeply_nested_manifest_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "mdl", str(path))
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
+def test_manifest_shape_errors_are_reported_together(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"use_cases": 1, "candidates": [one_candidate()["candidates"][0], 3]}))
+    with pytest.raises(ManifestInvalid) as err:
+        load_manifest(path)
+    problems = err.value.problems
+    assert "use_cases must be a list, not a number" in problems
+    assert "candidate 1 must be an object, not a number" in problems
+    assert "candidate 'x': adaptation for unknown use case 'u'" in problems
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,6 +238,15 @@ def test_ted_with_costs(capsys, corpus, tmp_path):
     assert (code, out) == (0, "2.500000\n")
     code, _, _ = run_cli(capsys, "ted", str(a), str(b), "--costs", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("costs", ["nan,1,1", "inf,1,1", "1,-inf,1", "1,1,NaN", "1,1,infinity"])
+def test_ted_rejects_non_finite_costs(capsys, tmp_path, costs):
+    a = tmp_path / "a.term"
+    a.write_text("(f x)")
+    code, out, err = run_cli(capsys, "ted", str(a), str(a), f"--costs={costs}")
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_lgg_output(capsys, tmp_path):

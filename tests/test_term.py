@@ -15,6 +15,7 @@ from mdlgauge.term import (
     Var,
     instantiate,
     is_ground,
+    iter_subterms,
     lgg,
     lgg_with_witnesses,
     match_term,
@@ -23,7 +24,10 @@ from mdlgauge.term import (
     render_abstraction,
     render_substitution,
     render_term,
+    replace_at,
+    subterm_at,
     term_size,
+    term_variables,
     unify,
 )
 from support import all_patterns, all_trees, subsumes
@@ -364,3 +368,32 @@ def test_unifier_makes_both_sides_equal(a, b):
     s = unify(a, b)
     if s is not None:
         assert s.apply(a) == s.apply(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unify_returns_a_most_general_unifier(data):
+    # Build a unifier theta of s and t by construction; the most general
+    # unifier sigma must factor it, theta = theta . sigma, so theta(sigma(x))
+    # equals theta(x) for every variable x of s and t.
+    s = data.draw(PATTERN_TERMS, label="s")
+    theta = {x: data.draw(GROUND_TERMS, label=f"theta({x})") for x in sorted(term_variables(s))}
+    ground = Substitution(theta).apply(s)
+    # t is theta(s) with random subterms replaced by fresh variables, each
+    # bound in theta to the subterm it replaced.
+    paths = [path for path, _ in iter_subterms(ground)]
+    t, cut = ground, []
+    for path in sorted(data.draw(st.lists(st.sampled_from(paths), max_size=4), label="cuts")):
+        if any(path[: len(c)] == c for c in cut):
+            continue  # inside a subterm already cut out
+        fresh = f"t{len(cut)}"
+        theta[fresh] = subterm_at(ground, path)
+        t = replace_at(t, path, Var(fresh))
+        cut.append(path)
+    theta = Substitution(theta)
+    assert theta.apply(s) == theta.apply(t)
+
+    sigma = unify(s, t)
+    assert sigma is not None
+    for x in theta.bindings:
+        assert theta.apply(sigma.apply(Var(x))) == theta.apply(Var(x))

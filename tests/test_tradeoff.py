@@ -6,6 +6,8 @@ from mdlgauge import tradeoff
 from mdlgauge.term import (
     Abstraction,
     Node,
+    _match_cost,
+    iter_subterms,
     match_term,
     lgg,
     parse_term,
@@ -138,19 +140,20 @@ def test_identical_programs_collapse_to_references():
 
 def test_accepted_candidate_is_matched_once(monkeypatch):
     # The sites found when a candidate is scored are the ones applied when
-    # it is accepted, so the single constant here is matched exactly once.
+    # it is accepted, so the single constant here is matched exactly once
+    # at each of the five roots, and never again once it is accepted.
     calls = []
-    find_sites = tradeoff._find_sites
+    match_cost = tradeoff._match_cost
 
-    def counting(index, candidate):
-        calls.append(candidate)
-        return find_sites(index, candidate)
+    def counting(pattern, target):
+        calls.append(target)
+        return match_cost(pattern, target)
 
-    monkeypatch.setattr(tradeoff, "_find_sites", counting)
+    monkeypatch.setattr(tradeoff, "_match_cost", counting)
     program = Node("f", (Node("g", (Node("a"), Node("b"))), Node("c"), Node("d")))
     run = compress_with_level([program] * 5, L1)
     assert len(run.library) == 1
-    assert len(calls) == 1
+    assert calls == [program] * 5
 
 
 def test_lookup_cost_scales_with_constant_size():
@@ -257,6 +260,39 @@ def test_agrees_with_reference_on_generated_corpora(spec):
         assert outcome(run) == outcome(reference_compress(corpus, level))
         assert len(corpus) == len(snapshot)
         assert all(t is s for t, s in zip(corpus, snapshot))
+
+
+def fresh_hits(candidate, terms):
+    """Every node of ``terms`` that ``candidate`` matches, as the compressor
+    files it: (term index, path) -> site."""
+    hits = {}
+    for ti, term in enumerate(terms):
+        for path, node in iter_subterms(term):
+            if isinstance(node, Node):
+                bindings, cost = _match_cost(candidate.body, node)
+                if bindings is not None:
+                    args = tuple(bindings[p] for p in candidate.params)
+                    hits[ti, path] = tradeoff._Site(ti, path, term_size(node), args, cost)
+    return hits
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"seed{s.seed}")
+def test_hit_lists_equal_a_fresh_scan_after_each_entry(spec, monkeypatch):
+    update = tradeoff._HitLists.update
+    entries = []
+
+    def checked(hit_lists, changed):
+        update(hit_lists, changed)
+        entries.append(changed)
+        for candidate, hits in zip(hit_lists.candidates, hit_lists.hits):
+            if hits is not None:  # a live candidate
+                assert hits == fresh_hits(candidate, hit_lists.terms)
+
+    monkeypatch.setattr(tradeoff._HitLists, "update", checked)
+    corpus = generate_corpus(spec)
+    for level in (L1, L2):
+        compress_with_level(corpus, level)
+    assert entries, "expected at least one accepted entry"
 
 
 # Each case: corpus texts, candidate (params, body) pairs.

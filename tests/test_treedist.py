@@ -111,6 +111,13 @@ def test_negative_costs_rejected():
         CostModel(insert_cost=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_costs_rejected(value):
+    for field in ("insert_cost", "delete_cost", "relabel_cost"):
+        with pytest.raises(ValueError):
+            CostModel(**{field: value})
+
+
 def test_metavariables_act_as_labels():
     from mdlgauge.term import Var
 
