@@ -1,5 +1,6 @@
 """Command-line surface: tokenize, mdl, match, unify, lgg, ted, lipschitz,
-and tradeoff subcommands.
+and tradeoff subcommands.  Wherever a term is read, a ``*.cpp`` file is
+encoded as a function by ``mdlgauge.encode``.
 
 Exit status is 0 on success, 1 on a domain failure (a failed match or
 unification under --strict), and 2 on usage or input errors.  Reports are
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
+from .encode import encode_function
 from .lexcount import DIALECTS, count_tokens, tokenize
 from .mdl import Candidate, UseCase, rank_candidates, report_csv
 from .term import (
@@ -200,10 +202,14 @@ def _read_text(path: str) -> str:
 
 
 def _read_term(path: str):
+    """The term in a term file, or the encoding of a ``*.cpp`` function."""
+    text = _read_text(path)
     try:
-        return parse_term(_read_text(path))
-    except TermSyntaxError as exc:
+        return encode_function(text) if path.endswith(".cpp") else parse_term(text)
+    except ValueError as exc:  # TermSyntaxError, EncodeError or LexError
         raise InputError(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # the C++ subset is read by recursive descent
+        raise InputError(f"{path}: nested too deeply") from exc
 
 
 def _parse_costs(spec: Optional[str]) -> CostModel:
@@ -272,23 +278,12 @@ def _cmd_mdl(args) -> int:
     return 0
 
 
-def _cmd_match(args) -> int:
-    pattern = _read_term(args.pattern)
-    target = _read_term(args.target)
-    result = match_term(pattern, target)
+def _cmd_solve(args) -> int:
+    """match and unify: print the substitution ``args.solve`` finds for the
+    two terms, or ``args.failure`` when there is none."""
+    result = args.solve(_read_term(args.left), _read_term(args.right))
     if result is None:
-        _emit("no match\n", args.out)
-        return 1 if args.strict else 0
-    _emit(render_substitution(result) + "\n", args.out)
-    return 0
-
-
-def _cmd_unify(args) -> int:
-    left = _read_term(args.left)
-    right = _read_term(args.right)
-    result = unify(left, right)
-    if result is None:
-        _emit("no unifier\n", args.out)
+        _emit(args.failure + "\n", args.out)
         return 1 if args.strict else 0
     _emit(render_substitution(result) + "\n", args.out)
     return 0
@@ -370,18 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mdl)
 
     p = sub.add_parser("match", help="match a pattern term against a ground term")
-    p.add_argument("pattern")
-    p.add_argument("target")
+    p.add_argument("left", metavar="pattern")
+    p.add_argument("right", metavar="target")
     p.add_argument("--strict", action="store_true", help="exit 1 when no match exists")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_match)
+    p.set_defaults(func=_cmd_solve, solve=match_term, failure="no match")
 
     p = sub.add_parser("unify", help="most general unifier of two terms")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--strict", action="store_true", help="exit 1 when not unifiable")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_unify)
+    p.set_defaults(func=_cmd_solve, solve=unify, failure="no unifier")
 
     p = sub.add_parser("lgg", help="least general generalization of ground terms")
     p.add_argument("files", nargs="+")

@@ -6,6 +6,15 @@ produced a given instance is matching, and reconciling two terms with
 unknowns on both sides is unification (here with union-find term graphs, so
 the work stays near-linear).  Anti-unification (``lgg``) goes the other way:
 given instances, it finds the least general term covering all of them.
+
+Terms are immutable.  A ``Node`` works out its ``size`` (node count,
+metavariable leaves included), whether it is ``ground`` and its hash once,
+from its children's, when it is built; so ``term_size``, ``is_ground`` and
+hashing cost O(1), and equality compares hashes before it walks.  There is
+no intern table: equal terms built apart are distinct objects.  Every walk
+over a term is a loop with its own stack, so terms of any depth parse,
+render, match, unify and generalize without reaching the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -15,19 +24,106 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
     """Metavariable leaf, rendered with a '?' prefix."""
 
-    name: str
+    __slots__ = ("name", "_hash")
+    size = 1
+    ground = False
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("?", name)))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Var is immutable; cannot set {attr!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __repr__(self) -> str:
+        return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    """Labeled node with an ordered (possibly empty) tuple of children."""
+class _NodeFields:
+    """A Node's storage, writable while the node is being built."""
 
-    label: str
-    children: tuple["Term", ...] = ()
+    __slots__ = ("label", "children", "size", "ground", "_hash")
+
+
+class Node(_NodeFields):
+    """Labeled node with an ordered (possibly empty) tuple of children.
+
+    ``size`` and ``ground`` are computed from the children when the node is
+    built, and so is the hash, from the label and the children's hashes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, children: tuple[Term, ...] = ()):
+        children = tuple(children)
+        # One plain loop: this constructor runs for every node every
+        # operation builds, and generator expressions cost more here.
+        size = 1
+        ground = True
+        key = [label]
+        for c in children:
+            size += c.size
+            if not c.ground:
+                ground = False
+            key.append(c._hash)
+        # The fields are stored while the object is a plain _NodeFields,
+        # and only then does it become a Node, whose __setattr__ refuses
+        # every write: five object.__setattr__ calls would cost as much
+        # again as the rest of the constructor.
+        self = object.__new__(_NodeFields)
+        self.label = label
+        self.children = children
+        self.size = size
+        self.ground = ground
+        self._hash = hash(tuple(key))
+        self.__class__ = cls
+        return self
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Node is immutable; cannot set {attr!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Node:
+            return NotImplemented
+        # Pairs of sibling tuples still to compare; leaves are compared
+        # where they are met, and never wait on the stack.
+        stack = [((self,), (other,))]
+        while stack:
+            xs, ys = stack.pop()
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if x._hash != y._hash:
+                    return False
+                if x.__class__ is Node:
+                    if y.__class__ is not Node or x.label != y.label:
+                        return False
+                    if x.children:
+                        if len(x.children) != len(y.children):
+                            return False
+                        stack.append((x.children, y.children))
+                    elif y.children:
+                        return False
+                elif x.__class__ is not y.__class__ or x.name != y.name:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"<Node {render_term(self)}>"
 
 
 Term = Union[Var, Node]
@@ -49,9 +145,7 @@ class ArityMismatch(ValueError):
 
 def term_size(t: Term) -> int:
     """Number of nodes, metavariable leaves included."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(c) for c in t.children)
+    return t.size
 
 
 def term_variables(t: Term) -> set[str]:
@@ -61,13 +155,13 @@ def term_variables(t: Term) -> set[str]:
         cur = stack.pop()
         if isinstance(cur, Var):
             out.add(cur.name)
-        else:
+        elif not cur.ground:
             stack.extend(cur.children)
     return out
 
 
 def is_ground(t: Term) -> bool:
-    return not term_variables(t)
+    return t.ground
 
 
 def iter_subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -90,77 +184,86 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
 
 
 def replace_at(t: Term, path: Sequence[int], replacement: Term) -> Term:
-    if not path:
-        return replacement
-    if isinstance(t, Var):
-        raise IndexError("path descends below a leaf")
-    i = path[0]
-    kids = list(t.children)
-    kids[i] = replace_at(kids[i], path[1:], replacement)
-    return Node(t.label, tuple(kids))
+    spine = []
+    for i in path:
+        if isinstance(t, Var):
+            raise IndexError("path descends below a leaf")
+        spine.append((t, i))
+        t = t.children[i]
+    for node, i in reversed(spine):
+        kids = list(node.children)
+        kids[i] = replacement
+        replacement = Node(node.label, tuple(kids))
+    return replacement
 
 
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 
+# One token: a '(' with the label after it, a '(' without one (an error), a
+# ')', a metavariable, a '?' without a name (an error), or a symbol, which
+# runs up to whitespace, a bracket or a '?'.  Every other character is
+# whitespace, which finditer skips.
+_TOKEN_RE = re.compile(
+    r"\(\s*(?:(?P<open>[^\s()?]+)|(?P<nolabel>))|(?P<close>\))"
+    r"|(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\?)|(?P<symbol>[^\s()?]+)"
+)
+
 
 def parse_term(text: str) -> Term:
     """Parse parenthesized prefix notation, e.g. "(+ (* ?a ?a) (* ?b ?b))"."""
-    term, pos = _parse(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TermSyntaxError("trailing input after term", pos)
-    return term
+    open_nodes: list[tuple[str, list[Term]]] = []  # (label, children so far)
+    result: Optional[Term] = None
+    for m in _TOKEN_RE.finditer(text):
+        if result is not None:
+            raise TermSyntaxError("trailing input after term", m.start())
+        kind = m.lastgroup
+        if kind == "open":
+            open_nodes.append((m.group(kind), []))
+            continue
+        if kind == "symbol":
+            term: Term = Node(m.group(kind))
+        elif kind == "close":
+            if not open_nodes:
+                raise TermSyntaxError("unexpected ')'", m.start())
+            label, kids = open_nodes.pop()
+            term = Node(label, tuple(kids))
+        elif kind == "var":
+            term = Var(m.group(kind)[1:])
+        elif kind == "nolabel":
+            raise TermSyntaxError("expected a symbol", m.end())
+        else:
+            raise TermSyntaxError("'?' must be followed by a variable name", m.start())
+        if open_nodes:
+            open_nodes[-1][1].append(term)
+        else:
+            result = term
+    if open_nodes:
+        raise TermSyntaxError("missing ')'", len(text))
+    if result is None:
+        raise TermSyntaxError("unexpected end of input", len(text))
+    return result
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return "?" + t.name
-    if not t.children:
-        return t.label
-    return "(" + " ".join([t.label] + [render_term(c) for c in t.children]) + ")"
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse(text: str, pos: int) -> tuple[Term, int]:
-    if pos >= len(text):
-        raise TermSyntaxError("unexpected end of input", pos)
-    c = text[pos]
-    if c == "(":
-        pos = _skip_ws(text, pos + 1)
-        label, pos = _parse_symbol(text, pos)
-        children = []
-        pos = _skip_ws(text, pos)
-        while pos < len(text) and text[pos] != ")":
-            child, pos = _parse(text, pos)
-            children.append(child)
-            pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise TermSyntaxError("missing ')'", pos)
-        return Node(label, tuple(children)), pos + 1
-    if c == ")":
-        raise TermSyntaxError("unexpected ')'", pos)
-    if c == "?":
-        m = _VAR_NAME_RE.match(text, pos + 1)
-        if not m:
-            raise TermSyntaxError("'?' must be followed by a variable name", pos)
-        return Var(m.group()), m.end()
-    label, pos = _parse_symbol(text, pos)
-    return Node(label), pos
-
-
-def _parse_symbol(text: str, pos: int) -> tuple[str, int]:
-    end = pos
-    while end < len(text) and not text[end].isspace() and text[end] not in "()?":
-        end += 1
-    if end == pos:
-        raise TermSyntaxError("expected a symbol", pos)
-    return text[pos:end], end
+    parts: list[str] = []
+    # Terms still to render, and the strings between them.
+    stack: list[Union[Term, str]] = [t]
+    while stack:
+        cur = stack.pop()
+        if cur.__class__ is str:
+            parts.append(cur)
+        elif cur.__class__ is Var:
+            parts.append("?" + cur.name)
+        elif cur.children:
+            parts.append("(" + cur.label)
+            stack.append(")")
+            for c in reversed(cur.children):
+                stack.append(c)
+                stack.append(" ")
+        else:
+            parts.append(cur.label)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +283,28 @@ class Substitution:
     def __post_init__(self):
         object.__setattr__(self, "bindings", dict(self.bindings))
         for name, value in self.bindings.items():
-            if name in term_variables(value):
+            if not value.ground and name in term_variables(value):
                 raise ValueError(f"binding ?{name} contains itself")
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return self.bindings.get(t.name, t)
-        if not t.children:
-            return t
-        return Node(t.label, tuple(self.apply(c) for c in t.children))
+        bindings = self.bindings
+        done: list[Term] = []  # finished subterms awaiting their parent
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        while stack:
+            cur, expanded = stack.pop()
+            if cur.ground:  # no metavariable below, so nothing to replace
+                done.append(cur)
+            elif cur.__class__ is Var:
+                done.append(bindings.get(cur.name, cur))
+            elif not expanded:
+                stack.append((cur, True))
+                stack.extend([(c, False) for c in reversed(cur.children)])
+            else:
+                cut = len(done) - len(cur.children)
+                kids = tuple(done[cut:])
+                del done[cut:]
+                done.append(Node(cur.label, kids))
+        return done[0]
 
     def is_idempotent(self) -> bool:
         return all(self.apply(v) == v for v in self.bindings.values())
@@ -259,7 +375,7 @@ def match_term(pattern: Term, target: Term) -> Optional[Substitution]:
     The target must be ground.  Repeated pattern variables must bind
     consistently.
     """
-    if not is_ground(target):
+    if not target.ground:
         raise ValueError("match target must be ground")
     bindings, _ = _match_cost(pattern, target)
     return None if bindings is None else Substitution(bindings)
@@ -383,30 +499,33 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
         else:
             union(ra, rb)
 
-    resolved: dict[int, Term] = {}
-    visiting: set[int] = set()
+    resolved: dict[_UfClass, Term] = {}
 
     def build(cls: _UfClass) -> Optional[Term]:
-        root = find(cls)
-        key = id(root)
-        if key in resolved:
-            return resolved[key]
-        if key in visiting:
-            return None  # a class reachable from itself: occurs violation
-        if root.schema is None:
-            result: Term = Var(root.canon or "_")
-        else:
-            visiting.add(key)
-            kids = []
-            for child in root.schema.children:
-                built = build(class_of(child))
-                if built is None:
-                    return None
-                kids.append(built)
-            visiting.discard(key)
-            result = Node(root.schema.label, tuple(kids))
-        resolved[key] = result
-        return result
+        """The term class ``cls`` stands for, or None if it contains itself.
+
+        A depth-first walk of the class graph; ``visiting`` holds the
+        classes on the path from the start to the current one."""
+        visiting: set[_UfClass] = set()
+        stack: list[tuple[_UfClass, bool]] = [(find(cls), False)]
+        while stack:
+            root, expanded = stack.pop()
+            schema = root.schema
+            if expanded:
+                visiting.discard(root)
+                kids = tuple(resolved[find(class_of(c))] for c in schema.children)
+                resolved[root] = Node(schema.label, kids)
+            elif root in resolved:
+                continue
+            elif root in visiting:
+                return None  # a class reachable from itself: occurs violation
+            elif schema is None:
+                resolved[root] = Var(root.canon or "_")
+            else:
+                visiting.add(root)
+                stack.append((root, True))
+                stack.extend([(find(class_of(c)), False) for c in reversed(schema.children)])
+        return resolved[find(cls)]
 
     bindings: dict[str, Term] = {}
     for name in sorted(var_classes):
@@ -442,34 +561,41 @@ def lgg_with_witnesses(
     if not terms:
         raise ValueError("lgg needs at least one term")
     for t in terms:
-        if not is_ground(t):
+        if not t.ground:
             raise ValueError("lgg inputs must be ground")
 
     slots: dict[tuple[Term, ...], str] = {}
-
-    def gen(tup: tuple[Term, ...]) -> Term:
+    done: list[Term] = []  # finished subterms awaiting their parent
+    # Tuples of corresponding subterms, visited in pre-order so that
+    # variables are numbered by first occurrence.
+    stack: list[tuple[tuple[Term, ...], bool]] = [(terms, False)]
+    while stack:
+        tup, expanded = stack.pop()
         first = tup[0]
-        if all(t == first for t in tup[1:]):
-            return first
-        if isinstance(first, Node) and all(
-            isinstance(t, Node)
-            and t.label == first.label
-            and len(t.children) == len(first.children)
-            for t in tup[1:]
-        ):
-            return Node(
-                first.label,
-                tuple(
-                    gen(tuple(t.children[i] for t in tup))
-                    for i in range(len(first.children))
-                ),
-            )
-        var = slots.get(tup)
-        if var is None:
-            var = slots[tup] = f"v{len(slots)}"
-        return Var(var)
+        label, arity = first.label, len(first.children)
+        if expanded:
+            cut = len(done) - arity
+            kids = tuple(done[cut:])
+            del done[cut:]
+            done.append(Node(label, kids))
+            continue
+        if tup.count(first) == len(tup):
+            done.append(first)
+            continue
+        # Ground terms hold no Var, so every member is a Node.
+        for t in tup:
+            if t.label != label or len(t.children) != arity:
+                var = slots.get(tup)
+                if var is None:
+                    var = slots[tup] = f"v{len(slots)}"
+                done.append(Var(var))
+                break
+        else:
+            stack.append((tup, True))
+            columns = list(zip(*[t.children for t in tup]))
+            stack.extend([(column, False) for column in reversed(columns)])
 
-    body = gen(terms)
+    body = done[0]
     params = tuple(slots.values())
     witnesses = [tuple(tup[i] for tup in slots) for i in range(len(terms))]
     return Abstraction(name, params, body), witnesses

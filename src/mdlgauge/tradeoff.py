@@ -37,7 +37,6 @@ from .term import (
     render_term,
     replace_at,
     subterm_at,
-    term_size,
 )
 from .term import _match_cost  # match with node-comparison accounting
 
@@ -204,7 +203,7 @@ def _build_program(rng, spec, motifs, alphabet, seen_args):
             mi = rng.randrange(len(motifs))
             args = _instance_args(rng, motifs[mi], alphabet, seen_args[mi])
             inst = instantiate(motifs[mi], args)
-            size = term_size(inst)
+            size = inst.size
             if covered + size + len(instances) + 1 > spec.program_size:
                 break
             seen_args[mi].append(args)
@@ -231,7 +230,7 @@ def _build_program(rng, spec, motifs, alphabet, seen_args):
         items.append((joined, paths))
 
     program, paths = items[0]
-    while term_size(program) < spec.program_size:
+    while program.size < spec.program_size:
         program = Node(rng.choice(alphabet), (program,))
         paths = {key: (0,) + path for key, path in paths.items()}
 
@@ -244,9 +243,9 @@ def _build_program(rng, spec, motifs, alphabet, seen_args):
 def ground_truth_floor(corpus: Sequence[Term], truth: GroundTruth) -> int:
     """A lower bound on compressed size given only the planted structure:
     every planted instance collapsed to a single node, libraries free."""
-    total = sum(term_size(t) for t in corpus)
+    total = sum(t.size for t in corpus)
     planted = sum(
-        term_size(subterm_at(corpus[inst.program_index], inst.path)) - 1
+        subterm_at(corpus[inst.program_index], inst.path).size - 1
         for inst in truth.instances
     )
     return total - planted
@@ -298,7 +297,7 @@ def compress_with_level(
 def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
     """One (compression ratio, inversion cost) point per ladder level."""
     corpus = generate_corpus(spec)
-    original = sum(term_size(t) for t in corpus)
+    original = sum(t.size for t in corpus)
     points = []
     for level in LADDER:
         run = _compress(corpus, level)
@@ -313,54 +312,28 @@ def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionRe
     run = CompressionResult([], terms, 0, 0, 0)
     candidates: list[Abstraction] = []
     if level.index >= 1:
-        pool = _SubtermPool(terms)
-        candidates.extend(_constant_candidates(pool))
+        counts = _subterm_counts(terms)
+        candidates.extend(_constant_candidates(counts))
     if level.index >= 2:
         # Parameterized motifs compete with plain constants in one greedy
         # pass; a constant is just the zero-parameter special case.
-        candidates.extend(_motif_candidates(pool))
+        candidates.extend(_motif_candidates(counts))
     _greedy_rewrite(run, candidates)
-    run.compressed_size = sum(term_size(t) for t in run.terms) + sum(
-        term_size(a.body) for a in run.library
-    )
+    run.compressed_size = sum(t.size for t in run.terms) + sum(a.body.size for a in run.library)
     return run
 
 
-class _SubtermPool:
-    """The distinct subterms of a corpus, numbered in one post-order pass,
-    with each one's representative term, node count and number of
-    occurrences.  A node is keyed by its label and its children's ids, so
-    no subterm is hashed or measured more than once."""
-
-    def __init__(self, corpus: Sequence[Term]):
-        self.terms: list[Term] = []
-        self.sizes: list[int] = []
-        self.counts: list[int] = []
-        ids: dict[object, int] = {}
-        for root in corpus:
-            done: list[int] = []  # ids of finished subterms awaiting their parent
-            stack: list[tuple[Term, bool]] = [(root, False)]
-            while stack:
-                t, expanded = stack.pop()
-                if isinstance(t, Node) and not expanded:
-                    stack.append((t, True))
-                    stack.extend((c, False) for c in reversed(t.children))
-                    continue
-                if isinstance(t, Var):
-                    key, kids = t, ()
-                else:
-                    cut = len(done) - len(t.children)
-                    kids = tuple(done[cut:])
-                    del done[cut:]
-                    key = (t.label, kids)
-                i = ids.get(key)
-                if i is None:
-                    i = ids[key] = len(self.terms)
-                    self.terms.append(t)
-                    self.sizes.append(1 + sum(self.sizes[k] for k in kids))
-                    self.counts.append(0)
-                self.counts[i] += 1
-                done.append(i)
+def _subterm_counts(corpus: Sequence[Term]) -> dict[Term, int]:
+    """Each distinct subterm of ``corpus`` and its number of occurrences."""
+    counts: dict[Term, int] = {}
+    for root in corpus:
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            counts[t] = counts.get(t, 0) + 1
+            if t.__class__ is Node:
+                stack.extend(t.children)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -488,7 +461,7 @@ class _HitLists:
                 bindings, cost = _match_cost(cand.body, node)
                 if bindings is not None:
                     args = tuple(bindings[p] for p in cand.params)
-                    self.hits[ci][ti, path] = _Site(ti, path, term_size(node), args, cost)
+                    self.hits[ci][ti, path] = _Site(ti, path, node.size, args, cost)
                     self.owners.setdefault((ti, path), []).append(ci)
 
 
@@ -520,8 +493,8 @@ def _outermost(hits: Iterable[_Site]) -> list[_Site]:
 
 
 def _savings(candidate: Abstraction, sites: list[_Site]) -> int:
-    per_site = sum(site.size - 1 - sum(term_size(a) for a in site.args) for site in sites)
-    return per_site - term_size(candidate.body)
+    per_site = sum(site.size - 1 - sum(a.size for a in site.args) for site in sites)
+    return per_site - candidate.body.size
 
 
 def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> None:
@@ -566,32 +539,27 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
         index.update(changed)
 
 
-def _constant_candidates(pool: _SubtermPool) -> list[Abstraction]:
+def _constant_candidates(counts: dict[Term, int]) -> list[Abstraction]:
     # Every subterm of _MIN_CONST_SIZE or more nodes is a Node.
     ranked = [
-        (occ * (size - 1) - size, t)
-        for t, size, occ in zip(pool.terms, pool.sizes, pool.counts)
-        if size >= _MIN_CONST_SIZE and occ >= 2 and occ * (size - 1) - size > 0
+        (occ * (t.size - 1) - t.size, t)
+        for t, occ in counts.items()
+        if t.size >= _MIN_CONST_SIZE and occ >= 2 and occ * (t.size - 1) - t.size > 0
     ]
     ranked.sort(key=lambda pair: (-pair[0], render_term(pair[1])))
     return [Abstraction("const", (), t) for _, t in ranked]
 
 
-def _motif_candidates(pool: _SubtermPool) -> list[Abstraction]:
+def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
     """Candidate abstractions from pairwise anti-unification over windows of
-    the sorted subterm pool.
+    the distinct subterms, sorted.
 
     Sorting by rendered text clusters structurally similar subterms, so
     generalizing each entry against its next neighbors finds repeated
     parameterized shapes without comparing all pairs.
     """
     window = sorted(
-        (
-            t
-            for t, size in zip(pool.terms, pool.sizes)
-            if _MIN_MOTIF_SIZE <= size <= _MAX_WINDOW
-        ),
-        key=render_term,
+        (t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW), key=render_term
     )
 
     # (rendered body, params) -> (ground nodes, candidate)
@@ -606,8 +574,8 @@ def _motif_candidates(pool: _SubtermPool) -> list[Abstraction]:
             cand = lgg([left, right])
             if not 1 <= len(cand.params) <= _MAX_MOTIF_PARAMS:
                 continue
-            size, ground = _size_and_ground_nodes(cand.body)
-            if size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
+            ground = _ground_nodes(cand.body)
+            if cand.body.size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
                 continue
             found.setdefault((render_term(cand.body), cand.params), (ground, cand))
 
@@ -615,10 +583,6 @@ def _motif_candidates(pool: _SubtermPool) -> list[Abstraction]:
     return [cand for _, (_, cand) in ranked[:_MAX_CANDIDATES]]
 
 
-def _size_and_ground_nodes(t: Term) -> tuple[int, int]:
-    """Node count, metavariable leaves included, and non-variable nodes."""
-    size = ground = 0
-    for _, sub in iter_subterms(t):
-        size += 1
-        ground += isinstance(sub, Node)
-    return size, ground
+def _ground_nodes(t: Term) -> int:
+    """Number of non-variable nodes."""
+    return sum(isinstance(sub, Node) for _, sub in iter_subterms(t))

@@ -178,24 +178,13 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
 _ORACLE_LIMIT = 10
 
 
-def _over_oracle_limit(t: Term) -> bool:
-    """Whether ``t`` has more than _ORACLE_LIMIT nodes; stops counting there."""
-    stack, count = [t], 0
-    while stack:
-        count += 1
-        if count > _ORACLE_LIMIT:
-            return True
-        stack.extend(_children(stack.pop()))
-    return False
-
-
 def ted_oracle(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     """Reference distance by exhaustive memoized recursion on forests.
 
     Only accepts trees of up to 10 nodes each; exponential blowup is
     acceptable at that scale and the simplicity is the point.
     """
-    if _over_oracle_limit(t1) or _over_oracle_limit(t2):
+    if t1.size > _ORACLE_LIMIT or t2.size > _ORACLE_LIMIT:
         raise SizeLimitExceeded(f"ted_oracle accepts at most {_ORACLE_LIMIT} nodes per tree")
     dele, ins = costs.delete_cost, costs.insert_cost
     memo: dict[tuple, float] = {}

@@ -1,27 +1,26 @@
 """Shared test helpers: an independent reference lexer, exhaustive tree
-enumeration, pattern subsumption checks, a reference tradeoff compressor
-and a reference tree edit distance."""
+enumeration, pattern subsumption checks, reference term operations, a
+reference tradeoff compressor and a reference tree edit distance."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import re
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 from mdlgauge import tradeoff
 from mdlgauge.term import (
+    _VAR_NAME_RE,
     Abstraction,
     Node,
+    Substitution,
     Term,
+    TermSyntaxError,
     Var,
     _match_cost,
     iter_subterms,
-    lgg,
     match_term,
-    render_term,
-    replace_at,
-    term_size,
 )
 from mdlgauge.treedist import UNIT_COSTS, CostModel, _children, _label
 
@@ -105,11 +104,248 @@ def subsumes(general: Term, specific: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference term operations.  The plain recursive definitions: each one
+# measures, compares or hashes a term by walking all of it, where the
+# production terms keep their size, groundness and hash from construction
+# and every production walk is a loop.  The production operations must
+# agree with them on every term small enough to recurse over.
+
+
+def reference_term_size(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(reference_term_size(c) for c in t.children)
+
+
+def reference_is_ground(t: Term) -> bool:
+    if isinstance(t, Var):
+        return False
+    return all(reference_is_ground(c) for c in t.children)
+
+
+def reference_equal(a: Term, b: Term) -> bool:
+    if isinstance(a, Var) or isinstance(b, Var):
+        return isinstance(a, Var) and isinstance(b, Var) and a.name == b.name
+    return (
+        a.label == b.label
+        and len(a.children) == len(b.children)
+        and all(map(reference_equal, a.children, b.children))
+    )
+
+
+def reference_hash(t: Term) -> int:
+    """The hash a term is built with: ("?", name) for a metavariable, and
+    for a node its label followed by its children's hashes."""
+    if isinstance(t, Var):
+        return hash(("?", t.name))
+    return hash((t.label, *[reference_hash(c) for c in t.children]))
+
+
+def reference_parse_term(text: str) -> Term:
+    term, pos = _reference_parse(text, _reference_skip_ws(text, 0))
+    pos = _reference_skip_ws(text, pos)
+    if pos != len(text):
+        raise TermSyntaxError("trailing input after term", pos)
+    return term
+
+
+def _reference_skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _reference_parse(text: str, pos: int) -> tuple[Term, int]:
+    if pos >= len(text):
+        raise TermSyntaxError("unexpected end of input", pos)
+    c = text[pos]
+    if c == "(":
+        pos = _reference_skip_ws(text, pos + 1)
+        label, pos = _reference_parse_symbol(text, pos)
+        children = []
+        pos = _reference_skip_ws(text, pos)
+        while pos < len(text) and text[pos] != ")":
+            child, pos = _reference_parse(text, pos)
+            children.append(child)
+            pos = _reference_skip_ws(text, pos)
+        if pos >= len(text):
+            raise TermSyntaxError("missing ')'", pos)
+        return Node(label, tuple(children)), pos + 1
+    if c == ")":
+        raise TermSyntaxError("unexpected ')'", pos)
+    if c == "?":
+        m = _VAR_NAME_RE.match(text, pos + 1)
+        if not m:
+            raise TermSyntaxError("'?' must be followed by a variable name", pos)
+        return Var(m.group()), m.end()
+    label, pos = _reference_parse_symbol(text, pos)
+    return Node(label), pos
+
+
+def _reference_parse_symbol(text: str, pos: int) -> tuple[str, int]:
+    end = pos
+    while end < len(text) and not text[end].isspace() and text[end] not in "()?":
+        end += 1
+    if end == pos:
+        raise TermSyntaxError("expected a symbol", pos)
+    return text[pos:end], end
+
+
+def reference_render_term(t: Term) -> str:
+    if isinstance(t, Var):
+        return "?" + t.name
+    if not t.children:
+        return t.label
+    return "(" + " ".join([t.label] + [reference_render_term(c) for c in t.children]) + ")"
+
+
+def reference_replace_at(t: Term, path: Sequence[int], replacement: Term) -> Term:
+    if not path:
+        return replacement
+    if isinstance(t, Var):
+        raise IndexError("path descends below a leaf")
+    i = path[0]
+    kids = list(t.children)
+    kids[i] = reference_replace_at(kids[i], path[1:], replacement)
+    return Node(t.label, tuple(kids))
+
+
+def reference_apply(bindings: Mapping[str, Term], t: Term) -> Term:
+    if isinstance(t, Var):
+        return bindings.get(t.name, t)
+    if not t.children:
+        return t
+    return Node(t.label, tuple(reference_apply(bindings, c) for c in t.children))
+
+
+def reference_lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
+    terms = tuple(terms)
+    slots: dict[tuple[Term, ...], str] = {}
+
+    def gen(tup: tuple[Term, ...]) -> Term:
+        first = tup[0]
+        if all(reference_equal(t, first) for t in tup[1:]):
+            return first
+        if isinstance(first, Node) and all(
+            isinstance(t, Node)
+            and t.label == first.label
+            and len(t.children) == len(first.children)
+            for t in tup[1:]
+        ):
+            return Node(
+                first.label,
+                tuple(
+                    gen(tuple(t.children[i] for t in tup))
+                    for i in range(len(first.children))
+                ),
+            )
+        var = slots.get(tup)
+        if var is None:
+            var = slots[tup] = f"v{len(slots)}"
+        return Var(var)
+
+    body = gen(terms)
+    return Abstraction(name, tuple(slots.values()), body)
+
+
+class _ReferenceClass:
+    def __init__(self, schema: Optional[Node], canon: Optional[str]):
+        self.parent: Optional[_ReferenceClass] = None
+        self.rank = 0
+        self.schema = schema
+        self.canon = canon
+
+
+def reference_unify(t1: Term, t2: Term) -> Optional[Substitution]:
+    var_classes: dict[str, _ReferenceClass] = {}
+    node_classes: dict[Term, _ReferenceClass] = {}
+
+    def class_of(t: Term) -> _ReferenceClass:
+        if isinstance(t, Var):
+            cls = var_classes.get(t.name)
+            if cls is None:
+                cls = var_classes[t.name] = _ReferenceClass(None, t.name)
+            return cls
+        cls = node_classes.get(t)
+        if cls is None:
+            cls = node_classes[t] = _ReferenceClass(t, None)
+        return cls
+
+    def find(cls: _ReferenceClass) -> _ReferenceClass:
+        while cls.parent is not None:
+            cls = cls.parent
+        return cls
+
+    def union(ra: _ReferenceClass, rb: _ReferenceClass) -> None:
+        schema = ra.schema if ra.schema is not None else rb.schema
+        canon = None if schema is not None else rb.canon
+        if ra.rank < rb.rank:
+            ra, rb = rb, ra
+        rb.parent = ra
+        if ra.rank == rb.rank:
+            ra.rank += 1
+        ra.schema = schema
+        ra.canon = canon
+
+    work = [(class_of(t1), class_of(t2))]
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra is rb:
+            continue
+        sa, sb = ra.schema, rb.schema
+        if sa is not None and sb is not None:
+            if sa.label != sb.label or len(sa.children) != len(sb.children):
+                return None
+            union(ra, rb)
+            work.extend(
+                (class_of(ca), class_of(cb)) for ca, cb in zip(sa.children, sb.children)
+            )
+        else:
+            union(ra, rb)
+
+    resolved: dict[int, Term] = {}
+    visiting: set[int] = set()
+
+    def build(cls: _ReferenceClass) -> Optional[Term]:
+        root = find(cls)
+        key = id(root)
+        if key in resolved:
+            return resolved[key]
+        if key in visiting:
+            return None
+        if root.schema is None:
+            result: Term = Var(root.canon or "_")
+        else:
+            visiting.add(key)
+            kids = []
+            for child in root.schema.children:
+                built = build(class_of(child))
+                if built is None:
+                    return None
+                kids.append(built)
+            visiting.discard(key)
+            result = Node(root.schema.label, tuple(kids))
+        resolved[key] = result
+        return result
+
+    bindings: dict[str, Term] = {}
+    for name in sorted(var_classes):
+        value = build(var_classes[name])
+        if value is None:
+            return None
+        if not reference_equal(value, Var(name)):
+            bindings[name] = value
+    return Substitution(bindings)
+
+
+# ---------------------------------------------------------------------------
 # Reference tradeoff compressor.  The plain version of mdlgauge.tradeoff's
 # level compression: it indexes the corpus by root label alone, matches a
 # candidate against every node with that label, rebuilds the whole index
-# after each accepted entry, and hashes and measures subterms recursively.
-# The production compressor must agree with it exactly.
+# after each accepted entry, and measures, generalizes and renders subterms
+# with the recursive reference operations above.  The production
+# compressor must agree with it exactly.
 
 
 def reference_compress(
@@ -122,8 +358,8 @@ def reference_compress(
     if level.index >= 2:
         candidates.extend(_reference_motif_candidates(run.terms))
     reference_greedy_rewrite(run, candidates)
-    run.compressed_size = sum(term_size(t) for t in run.terms) + sum(
-        term_size(a.body) for a in run.library
+    run.compressed_size = sum(reference_term_size(t) for t in run.terms) + sum(
+        reference_term_size(a.body) for a in run.library
     )
     return run
 
@@ -139,13 +375,15 @@ def reference_greedy_rewrite(
 
     def score(cand: Abstraction, key: str) -> None:
         sites = _reference_find_sites(index, cand)
-        per_site = sum(size - 1 - sum(map(term_size, args)) for _, _, size, args, _ in sites)
-        gain = per_site - term_size(cand.body)
+        per_site = sum(
+            size - 1 - sum(map(reference_term_size, args)) for _, _, size, args, _ in sites
+        )
+        gain = per_site - reference_term_size(cand.body)
         if gain > 0:
             heapq.heappush(heap, (-gain, key, version, cand, sites))
 
     for cand in candidates:
-        score(cand, render_term(cand.body))
+        score(cand, reference_render_term(cand.body))
     while heap:
         _, key, seen, cand, sites = heapq.heappop(heap)
         if seen != version:
@@ -154,7 +392,7 @@ def reference_greedy_rewrite(
         name = f"${len(run.library)}"
         run.library.append(Abstraction(name, cand.params, cand.body))
         for ti, path, _, args, cost in sites:
-            run.terms[ti] = replace_at(run.terms[ti], path, Node(name, args))
+            run.terms[ti] = reference_replace_at(run.terms[ti], path, Node(name, args))
             run.comparisons += cost
             run.rewrites += 1
         version += 1
@@ -180,7 +418,7 @@ def _reference_find_sites(index, candidate: Abstraction) -> list[tuple]:
         bindings, cost = _match_cost(root, node)
         if bindings is not None:
             args = tuple(bindings[p] for p in candidate.params)
-            hits.append((ti, path, term_size(node), args, cost))
+            hits.append((ti, path, reference_term_size(node), args, cost))
     hits.sort(key=lambda h: (h[0], len(h[1]), h[1]))
     kept, taken = [], set()
     for hit in hits:
@@ -195,13 +433,15 @@ def _reference_constant_candidates(terms: Sequence[Term]) -> list[Abstraction]:
     counts: dict[Term, int] = {}
     for term in terms:
         for _, node in iter_subterms(term):
-            if isinstance(node, Node) and term_size(node) >= tradeoff._MIN_CONST_SIZE:
+            if isinstance(node, Node) and reference_term_size(node) >= tradeoff._MIN_CONST_SIZE:
                 counts[node] = counts.get(node, 0) + 1
     ranked = [
-        (occ * (term_size(t) - 1) - term_size(t), t) for t, occ in counts.items() if occ >= 2
+        (occ * (reference_term_size(t) - 1) - reference_term_size(t), t)
+        for t, occ in counts.items()
+        if occ >= 2
     ]
     ranked = [(gain, t) for gain, t in ranked if gain > 0]
-    ranked.sort(key=lambda pair: (-pair[0], render_term(pair[1])))
+    ranked.sort(key=lambda pair: (-pair[0], reference_render_term(pair[1])))
     return [Abstraction("const", (), t) for _, t in ranked]
 
 
@@ -212,9 +452,9 @@ def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
             for term in terms
             for _, node in iter_subterms(term)
             if isinstance(node, Node)
-            and tradeoff._MIN_MOTIF_SIZE <= term_size(node) <= tradeoff._MAX_WINDOW
+            and tradeoff._MIN_MOTIF_SIZE <= reference_term_size(node) <= tradeoff._MAX_WINDOW
         },
-        key=render_term,
+        key=reference_render_term,
     )
 
     def ground_nodes(a: Abstraction) -> int:
@@ -225,14 +465,16 @@ def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
         for right in pool[i + 1 : i + 3]:
             if left.label != right.label or len(left.children) != len(right.children):
                 continue
-            cand = lgg([left, right])
+            cand = reference_lgg([left, right])
             if (
                 1 <= len(cand.params) <= tradeoff._MAX_MOTIF_PARAMS
-                and term_size(cand.body) >= tradeoff._MIN_MOTIF_SIZE
+                and reference_term_size(cand.body) >= tradeoff._MIN_MOTIF_SIZE
                 and ground_nodes(cand) >= tradeoff._MIN_GROUND_NODES
             ):
-                found.setdefault((render_term(cand.body), cand.params), cand)
-    ranked = sorted(found.values(), key=lambda a: (-ground_nodes(a), render_term(a.body)))
+                found.setdefault((reference_render_term(cand.body), cand.params), cand)
+    ranked = sorted(
+        found.values(), key=lambda a: (-ground_nodes(a), reference_render_term(a.body))
+    )
     return ranked[: tradeoff._MAX_CANDIDATES]
 
 

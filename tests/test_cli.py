@@ -325,6 +325,65 @@ def test_term_syntax_error_is_exit_2(capsys, tmp_path):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("int f(", "expected a type"),
+        ("int f() { return " + "(" * 5000 + "x" + ")" * 5000 + "; }", "nested too deeply"),
+    ],
+    ids=["encode-error", "nested-too-deeply"],
+)
+def test_bad_cpp_is_an_input_error(capsys, tmp_path, source, message):
+    bad = tmp_path / "bad.cpp"
+    bad.write_text(source)
+    code, out, err = run_cli(capsys, "lgg", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mdlgauge: {bad}: {message}")
+
+
+# A unary chain 100 times deeper than the interpreter's default recursion
+# limit; every subcommand that reads terms must handle it.
+DEPTH = 100_000
+HEAD, TAIL = "(f " * DEPTH, ")" * DEPTH
+CHAINS = {
+    "fx": HEAD + "?x" + TAIL,
+    "fga": HEAD + "(g a)" + TAIL,
+    "fa": HEAD + "a" + TAIL,
+    "fb": HEAD + "b" + TAIL,
+    "x": "?x",
+    "y": "?y",
+    "a": "a",
+}
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("chains")
+    for name, text in CHAINS.items():
+        (folder / f"{name}.term").write_text(text)
+    return folder
+
+
+DEEP_CASES = [
+    ("match fx fga", 0, "{?x -> (g a)}\n"),
+    ("unify fx fga", 0, "{?x -> (g a)}\n"),
+    ("unify fga fx", 0, "{?x -> (g a)}\n"),
+    ("unify y fa", 0, "{?y -> " + CHAINS["fa"] + "}\n"),
+    ("unify fa y", 0, "{?y -> " + CHAINS["fa"] + "}\n"),
+    ("lgg fa fb", 0, "params: ?v0\n" + HEAD + "?v0" + TAIL + "\n"),
+    ("ted fa a", 0, f"{DEPTH}.000000\n"),
+    ("unify --strict x fx", 1, "no unifier\n"),
+]
+
+
+@pytest.mark.parametrize("words, status, expected", DEEP_CASES, ids=[c[0] for c in DEEP_CASES])
+def test_deep_chains(capsys, chains, words, status, expected):
+    command, *rest = words.split()
+    argv = [word if word.startswith("--") else str(chains / f"{word}.term") for word in rest]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out, err) == (status, expected, "")
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -39,7 +39,7 @@ EXAMPLES = readme_examples()
 
 def test_readme_examples_are_found():
     commands = [text.split()[1] for text, _, _ in EXAMPLES]
-    assert commands == ["tokenize", "mdl", "match", "ted", "lipschitz", "tradeoff"]
+    assert commands == ["tokenize", "mdl", "lgg", "match", "ted", "lipschitz", "tradeoff"]
     assert all(text.startswith("mdlgauge ") for text, _, _ in EXAMPLES)
     assert EXAMPLES[-1][2].keys() == {"points.csv"}
 

@@ -30,7 +30,21 @@ from mdlgauge.term import (
     term_variables,
     unify,
 )
-from support import all_patterns, all_trees, subsumes
+from support import (
+    all_patterns,
+    all_trees,
+    reference_apply,
+    reference_equal,
+    reference_hash,
+    reference_is_ground,
+    reference_lgg,
+    reference_parse_term,
+    reference_render_term,
+    reference_replace_at,
+    reference_term_size,
+    reference_unify,
+    subsumes,
+)
 
 
 def term_strategy(leaves):
@@ -397,3 +411,121 @@ def test_unify_returns_a_most_general_unifier(data):
     assert sigma is not None
     for x in theta.bindings:
         assert theta.apply(sigma.apply(Var(x))) == theta.apply(Var(x))
+
+
+# ---------------------------------------------------------------------------
+# the term core against the recursive references in support.py
+
+
+@settings(max_examples=150, deadline=None)
+@given(PATTERN_TERMS)
+def test_cached_fields_agree_with_the_references(t):
+    assert t.size == term_size(t) == reference_term_size(t)
+    assert t.ground == is_ground(t) == reference_is_ground(t)
+    assert hash(t) == reference_hash(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PATTERN_TERMS, PATTERN_TERMS)
+def test_equality_agrees_with_the_reference(a, b):
+    assert (a == b) == reference_equal(a, b)
+    assert (a != b) != reference_equal(a, b)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PATTERN_TERMS)
+def test_equal_terms_built_apart_hash_equally(t):
+    copy = reference_parse_term(reference_render_term(t))
+    assert copy is not t
+    assert copy == t and hash(copy) == hash(t)
+
+
+def test_terms_are_immutable():
+    t = Node("f", (Var("x"),))
+    for attr in ("label", "children", "size", "ground"):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, None)
+    with pytest.raises(AttributeError):
+        t.children[0].name = "y"
+
+
+@settings(max_examples=150, deadline=None)
+@given(PATTERN_TERMS)
+def test_parse_and_render_agree_with_the_references(t):
+    text = render_term(t)
+    assert text == reference_render_term(t)
+    assert reference_equal(parse_term(text), reference_parse_term(text))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return reference_render_term(parse(text))
+    except TermSyntaxError as exc:
+        return ("error", str(exc), exc.pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="()?ab_1 \n\t", max_size=16))
+def test_parse_accepts_and_rejects_text_as_the_reference_does(text):
+    # Every message and position of a syntax error is the reference's too.
+    assert _parse_outcome(parse_term, text) == _parse_outcome(reference_parse_term, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_replace_at_agrees_with_the_reference(data):
+    t = data.draw(PATTERN_TERMS, label="t")
+    path = data.draw(st.sampled_from([p for p, _ in iter_subterms(t)]), label="path")
+    replacement = data.draw(PATTERN_TERMS, label="replacement")
+    assert reference_equal(
+        replace_at(t, path, replacement), reference_replace_at(t, path, replacement)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_agrees_with_the_reference(data):
+    t = data.draw(PATTERN_TERMS, label="t")
+    names = data.draw(st.lists(st.sampled_from("xyz"), unique=True), label="bound")
+    # A binding may mention the other variables, but never its own.
+    bindings = {}
+    for x in names:
+        value = data.draw(PATTERN_TERMS, label=f"?{x}")
+        if x not in term_variables(value):
+            bindings[x] = value
+    assert reference_equal(Substitution(bindings).apply(t), reference_apply(bindings, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GROUND_TERMS, min_size=1, max_size=4))
+def test_lgg_agrees_with_the_reference(terms):
+    got, want = lgg(terms), reference_lgg(terms)
+    assert got.params == want.params
+    assert reference_equal(got.body, want.body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PATTERN_TERMS, PATTERN_TERMS)
+def test_unify_agrees_with_the_reference(a, b):
+    got, want = unify(a, b), reference_unify(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.bindings.keys() == want.bindings.keys()
+        for name, value in got.bindings.items():
+            assert reference_equal(value, want.bindings[name])
+
+
+def test_deep_chain_walks_need_no_recursion():
+    depth = 20_000
+    chain = parse_term("(f " * depth + "?x" + ")" * depth)
+    assert chain.size == depth + 1 and not chain.ground
+    ground = Substitution({"x": Node("a")}).apply(chain)
+    assert ground.ground and render_term(ground) == "(f " * depth + "a" + ")" * depth
+    assert ground == parse_term(render_term(ground))
+    assert match_term(chain, ground).bindings == {"x": Node("a")}
+    assert unify(Var("x"), chain) is None  # the occurs check
+    template = lgg([ground, replace_at(ground, (0,) * depth, Node("b"))])
+    assert template.params == ("v0",)
+    assert template.body == Substitution({"x": Var("v0")}).apply(chain)
