@@ -548,8 +548,8 @@ def lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
     subterm tuples share a variable, and variables are numbered v0, v1,
     ... by first occurrence, so the result is deterministic.
     """
-    abstraction, _ = lgg_with_witnesses(terms, name=name)
-    return abstraction
+    body, slots = _generalize(terms)
+    return Abstraction(name, tuple(slots.values()), body)
 
 
 def lgg_with_witnesses(
@@ -557,6 +557,15 @@ def lgg_with_witnesses(
 ) -> tuple[Abstraction, list[tuple[Term, ...]]]:
     """lgg plus, per input term, the argument tuple that reproduces it:
     ``instantiate(a, witnesses[i]) == terms[i]``."""
+    terms = tuple(terms)
+    body, slots = _generalize(terms)
+    witnesses = [tuple(tup[i] for tup in slots) for i in range(len(terms))]
+    return Abstraction(name, tuple(slots.values()), body), witnesses
+
+
+def _generalize(terms: Sequence[Term]) -> tuple[Term, dict[tuple[Term, ...], str]]:
+    """The lgg's body, and the variable that each tuple of corresponding
+    subterms that disagree became, in order of first occurrence."""
     terms = tuple(terms)
     if not terms:
         raise ValueError("lgg needs at least one term")
@@ -579,7 +588,12 @@ def lgg_with_witnesses(
             del done[cut:]
             done.append(Node(label, kids))
             continue
-        if tup.count(first) == len(tup):
+        # The cached hashes rule out most unequal members without a walk.
+        h = first._hash
+        for t in tup:
+            if t is not first and (t._hash != h or t != first):
+                break
+        else:
             done.append(first)
             continue
         # Ground terms hold no Var, so every member is a Node.
@@ -594,8 +608,4 @@ def lgg_with_witnesses(
             stack.append((tup, True))
             columns = list(zip(*[t.children for t in tup]))
             stack.extend([(column, False) for column in reversed(columns)])
-
-    body = done[0]
-    params = tuple(slots.values())
-    witnesses = [tuple(tup[i] for tup in slots) for i in range(len(terms))]
-    return Abstraction(name, params, body), witnesses
+    return done[0], slots

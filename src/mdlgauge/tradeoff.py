@@ -12,11 +12,15 @@ mechanisms compress better and cost more to invert.
 Each level picks library entries greedily by savings.  The candidates are
 filed once in a discrimination tree keyed on their bodies' pre-order
 (label, arity) symbols, where a metavariable skips one whole subterm.
-Every corpus node is looked up in it once, and only the candidates that
-agree with the node's skeleton are matched against it.  Each candidate
-keeps a list of its hits.  After an accepted entry, only the rewritten
-subterms and their ancestors lose their hits and are looked up again, so a
-candidate is re-scored from its hit list, never by a scan of the corpus.
+Every corpus node that a body could match is looked up in it once, and
+only the candidates that agree with the node's skeleton are matched
+against it.  Each candidate keeps a list of its hits.  After an accepted
+entry, only the rewritten subterms and their ancestors lose their hits and
+are looked up again, so a candidate is re-scored from its hit list, never
+by a scan of the corpus.
+A body of *s* nodes matches only subterms of at least *s* nodes, so only
+nodes at least as large as the smallest candidate body are counted, looked
+up and re-filed, and the walks never descend below one that is smaller.
 """
 
 from __future__ import annotations
@@ -264,6 +268,8 @@ _MIN_GROUND_NODES = 4
 _MAX_MOTIF_PARAMS = 3
 _MAX_WINDOW = 64
 _MAX_CANDIDATES = 400
+# No candidate generator reads a smaller subterm.
+_MIN_COUNTED_SIZE = min(_MIN_CONST_SIZE, _MIN_MOTIF_SIZE)
 
 
 @dataclass
@@ -324,15 +330,18 @@ def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionRe
 
 
 def _subterm_counts(corpus: Sequence[Term]) -> dict[Term, int]:
-    """Each distinct subterm of ``corpus`` and its number of occurrences."""
+    """Each distinct subterm of ``corpus`` with at least _MIN_COUNTED_SIZE
+    nodes, all of them Nodes, and its number of occurrences."""
     counts: dict[Term, int] = {}
-    for root in corpus:
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            counts[t] = counts.get(t, 0) + 1
-            if t.__class__ is Node:
-                stack.extend(t.children)
+    # A child is never larger than its parent, so the walk stops at the
+    # first subterm below the floor.
+    stack = [t for t in corpus if t.size >= _MIN_COUNTED_SIZE]
+    while stack:
+        t = stack.pop()
+        counts[t] = counts.get(t, 0) + 1
+        for c in t.children:
+            if c.size >= _MIN_COUNTED_SIZE:
+                stack.append(c)
     return counts
 
 
@@ -415,17 +424,20 @@ class _HitLists:
     """Every match of every live candidate's body in ``terms``, the list
     that accepted entries rewrite in place.
 
-    Every corpus node is looked up in the candidate trie once, and
-    ``_match_cost`` runs only on the candidates that come back.  After an
-    accepted entry only the rewritten subterms and their ancestors lose
-    their hits and are looked up again.  A dead candidate, one that was
-    accepted or scored no gain, leaves the trie and keeps no hits.
+    Every corpus node at least as large as the smallest candidate body is
+    looked up in the candidate trie once, and ``_match_cost`` runs only on
+    the candidates that come back.  After an accepted entry only the
+    rewritten subterms and their ancestors lose their hits and are looked
+    up again.  A dead candidate, one that was accepted or scored no gain,
+    leaves the trie and keeps no hits.
     """
 
     def __init__(self, candidates: Sequence[Abstraction], terms: list[Term]):
         self.candidates = candidates
         self.terms = terms
         self.trie = _CandidateTrie([c.body for c in candidates])
+        # No candidate matches a smaller node, dead or alive.
+        self.floor = min(c.body.size for c in candidates)
         # Per candidate, (term index, path) -> site; None once it is dead.
         self.hits: list[Optional[dict[tuple[int, tuple[int, ...]], _Site]]] = [
             {} for _ in candidates
@@ -433,7 +445,7 @@ class _HitLists:
         # (term index, path) -> the candidates with a hit there, dead or not
         self.owners: dict[tuple[int, tuple[int, ...]], list[int]] = {}
         for ti, term in enumerate(terms):
-            self._file(ti, _region(term, [()]))
+            self._file(ti, _region(term, [()], self.floor))
 
     def sites(self, ci: int) -> list[_Site]:
         """Outermost, non-overlapping occurrences of candidate ``ci``."""
@@ -447,12 +459,12 @@ class _HitLists:
         """Each term ``ti`` in ``changed`` was ``before`` until its subterms
         at ``paths`` were replaced."""
         for ti, (before, paths) in changed.items():
-            for path in _region(before, paths):
+            for path in _region(before, paths, self.floor):
                 for ci in self.owners.pop((ti, path), ()):
                     hits = self.hits[ci]
                     if hits is not None:
                         del hits[ti, path]
-            self._file(ti, _region(self.terms[ti], paths))
+            self._file(ti, _region(self.terms[ti], paths, self.floor))
 
     def _file(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
         for path, node in region.items():
@@ -465,17 +477,27 @@ class _HitLists:
                     self.owners.setdefault((ti, path), []).append(ci)
 
 
-def _region(term: Term, paths: list[tuple[int, ...]]) -> dict[tuple[int, ...], Node]:
-    """The Nodes of ``term`` at, below and above each of ``paths``, by path."""
+def _region(
+    term: Term, paths: list[tuple[int, ...]], floor: int
+) -> dict[tuple[int, ...], Node]:
+    """The Nodes of ``term`` at, below and above each of ``paths`` that
+    have at least ``floor`` nodes, by path."""
     region: dict[tuple[int, ...], Node] = {}
     for path in paths:
         node = term
         for depth, i in enumerate(path):
+            if node.size < floor:  # and so is every node below it
+                break
             region[path[:depth]] = node
             node = node.children[i]
-        for below, sub in iter_subterms(node):
-            if isinstance(sub, Node):
-                region[path + below] = sub
+        else:
+            stack = [(path, node)]
+            while stack:
+                at, sub = stack.pop()
+                if sub.__class__ is Node and sub.size >= floor:
+                    region[at] = sub
+                    for i in range(len(sub.children) - 1, -1, -1):
+                        stack.append((at + (i,), sub.children[i]))
     return region
 
 
@@ -562,8 +584,8 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
         (t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW), key=render_term
     )
 
-    # (rendered body, params) -> (ground nodes, candidate)
-    found: dict[tuple[str, tuple[str, ...]], tuple[int, Abstraction]] = {}
+    # (body, params) -> (ground nodes, candidate)
+    found: dict[tuple[Term, tuple[str, ...]], tuple[int, Abstraction]] = {}
     for i, left in enumerate(window):
         for j in (i + 1, i + 2):
             if j >= len(window):
@@ -577,12 +599,21 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
             ground = _ground_nodes(cand.body)
             if cand.body.size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
                 continue
-            found.setdefault((render_term(cand.body), cand.params), (ground, cand))
+            found.setdefault((cand.body, cand.params), (ground, cand))
 
-    ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0][0]))
-    return [cand for _, (_, cand) in ranked[:_MAX_CANDIDATES]]
+    ranked = sorted(found.values(), key=lambda gc: (-gc[0], render_term(gc[1].body)))
+    return [cand for _, cand in ranked[:_MAX_CANDIDATES]]
 
 
 def _ground_nodes(t: Term) -> int:
     """Number of non-variable nodes."""
-    return sum(isinstance(sub, Node) for _, sub in iter_subterms(t))
+    count = 0
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if cur.ground:
+            count += cur.size
+        elif cur.__class__ is Node:
+            count += 1
+            stack.extend(cur.children)
+    return count
