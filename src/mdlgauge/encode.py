@@ -7,10 +7,16 @@ outside that subset raises EncodeError.
 
 Expression shapes: binary operators become ``(op lhs rhs)``, a call through
 an identifier becomes ``(name args...)``, so ``r*r + f(s)*f(s)`` encodes as
-``(+ (* r r) (* (f s) (f s)))``.
+``(+ (* r r) (* (f s) (f s)))``.  Binary operators are parsed by precedence
+climbing over one table of binding levels (Pratt, POPL 1973).  Every parse
+step that can nest is a generator that yields its sub-parses to ``_run``,
+which keeps the pending steps on a list, so nesting depth is bounded by
+memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
+
+from typing import Generator
 
 from .lexcount import Token, tokenize
 from .term import Node, Term
@@ -20,10 +26,19 @@ class EncodeError(ValueError):
     pass
 
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
-_COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+# Binary operators by binding level, loosest first.  Assignment, the
+# loosest, groups to the right; every other level groups to the left.
+_ASSIGNMENT = 0
+_BINARY = {
+    **dict.fromkeys(("=", "+=", "-=", "*=", "/=", "%="), _ASSIGNMENT),
+    **dict.fromkeys(("==", "!=", "<", ">", "<=", ">="), 1),
+    **dict.fromkeys(("+", "-"), 2),
+    **dict.fromkeys(("*", "/", "%"), 3),
+}
+_PREFIX = {"*": "deref", "++": "preinc", "--": "predec", "-": "neg"}
+
+# A parse step: yields sub-parse steps, is sent their terms, returns a term.
+_Step = Generator["_Step", Term, Term]
 
 
 class _Cursor:
@@ -57,7 +72,7 @@ class _Cursor:
 def encode_expression(text: str) -> Term:
     """Encode a single C-family expression as a term."""
     cur = _Cursor(tokenize(text).tokens)
-    term = _expression(cur)
+    term = _run(_expression(cur))
     if not cur.done():
         raise EncodeError(f"trailing input at token {cur.peek()!r}")
     return term
@@ -66,115 +81,88 @@ def encode_expression(text: str) -> Term:
 def encode_function(text: str) -> Term:
     """Encode a function definition, optionally under a template header."""
     cur = _Cursor(tokenize(text).tokens)
-    term = _function(cur)
+    term = _run(_function(cur))
     if not cur.done():
         raise EncodeError(f"trailing input at token {cur.peek()!r}")
     return term
 
 
-def _expression(cur: _Cursor) -> Term:
-    return _assignment(cur)
+def _run(step: _Step) -> Term:
+    """Run ``step`` and every sub-parse it yields, innermost first."""
+    pending = [step]
+    term = None
+    while pending:
+        try:
+            sub = pending[-1].send(term)
+        except StopIteration as stop:
+            pending.pop()
+            term = stop.value
+        else:
+            pending.append(sub)
+            term = None
+    return term
 
 
-def _assignment(cur: _Cursor) -> Term:
-    left = _comparison(cur)
-    if cur.peek() in _ASSIGN_OPS:
+def _expression(cur: _Cursor, floor: int = 0) -> _Step:
+    """The operators binding at ``floor`` or tighter, and their operands."""
+    left = yield _operand(cur)
+    while _BINARY.get(cur.peek(), -1) >= floor:
         op = cur.next()
-        right = _assignment(cur)  # right associative
-        return Node(op, (left, right))
+        level = _BINARY[op]
+        right = yield _expression(cur, level if level == _ASSIGNMENT else level + 1)
+        left = Node(op, (left, right))
     return left
 
 
-def _binary(cur: _Cursor, operators: tuple[str, ...], operand) -> Term:
-    left = operand(cur)
-    while cur.peek() in operators:
-        op = cur.next()
-        left = Node(op, (left, operand(cur)))
-    return left
-
-
-def _comparison(cur: _Cursor) -> Term:
-    return _binary(cur, _COMPARE_OPS, _additive)
-
-
-def _additive(cur: _Cursor) -> Term:
-    return _binary(cur, _ADD_OPS, _multiplicative)
-
-
-def _multiplicative(cur: _Cursor) -> Term:
-    return _binary(cur, _MUL_OPS, _unary)
-
-
-def _unary(cur: _Cursor) -> Term:
-    head = cur.peek()
-    if head == "*":
+def _operand(cur: _Cursor) -> _Step:
+    """Prefix operators, a primary or a parenthesized expression, then
+    calls, indexing and member access."""
+    prefixes = []
+    while cur.peek() in _PREFIX:
+        prefixes.append(_PREFIX[cur.next()])
+    if cur.peek() == "(":
         cur.next()
-        return Node("deref", (_unary(cur),))
-    if head == "++":
-        cur.next()
-        return Node("preinc", (_unary(cur),))
-    if head == "--":
-        cur.next()
-        return Node("predec", (_unary(cur),))
-    if head == "-":
-        cur.next()
-        return Node("neg", (_unary(cur),))
-    return _postfix(cur)
-
-
-def _postfix(cur: _Cursor) -> Term:
-    term = _primary(cur)
+        term = yield _expression(cur)
+        cur.expect(")")
+    elif cur.kind() in ("identifier", "keyword", "number"):
+        term = Node(cur.next())
+    else:
+        raise EncodeError(f"unexpected token {cur.peek()!r}")
     while True:
         head = cur.peek()
         if head == "(":
             cur.next()
-            args = _arguments(cur)
+            args = []
+            if cur.peek() != ")":
+                args.append((yield _expression(cur)))
+                while cur.peek() == ",":
+                    cur.next()
+                    args.append((yield _expression(cur)))
+            cur.expect(")")
             if isinstance(term, Node) and not term.children:
-                term = Node(term.label, args)  # call through an identifier
+                term = Node(term.label, tuple(args))  # call through an identifier
             else:
-                term = Node("call", (term,) + args)
+                term = Node("call", (term, *args))
         elif head == "[":
             cur.next()
-            index = _expression(cur)
+            index = yield _expression(cur)
             cur.expect("]")
             term = Node("index", (term, index))
         elif head == "." and cur.kind() == "punctuator":
             cur.next()
-            member = cur.next()
-            term = Node("member", (term, Node(member)))
+            term = Node("member", (term, Node(cur.next())))
         else:
-            return term
-
-
-def _arguments(cur: _Cursor) -> tuple[Term, ...]:
-    if cur.peek() == ")":
-        cur.next()
-        return ()
-    args = [_expression(cur)]
-    while cur.peek() == ",":
-        cur.next()
-        args.append(_expression(cur))
-    cur.expect(")")
-    return tuple(args)
-
-
-def _primary(cur: _Cursor) -> Term:
-    if cur.peek() == "(":
-        cur.next()
-        term = _expression(cur)
-        cur.expect(")")
-        return term
-    kind = cur.kind()
-    if kind in ("identifier", "keyword", "number"):
-        return Node(cur.next())
-    raise EncodeError(f"unexpected token {cur.peek()!r}")
+            break
+    for label in reversed(prefixes):
+        term = Node(label, (term,))
+    return term
 
 
 # ---------------------------------------------------------------------------
 # The statement subset: enough for the bundled corpus listings.
 
 
-def _function(cur: _Cursor) -> Term:
+def _function(cur: _Cursor) -> _Step:
     if cur.peek() == "template":
         cur.next()
         cur.expect("<")
@@ -187,7 +175,7 @@ def _function(cur: _Cursor) -> Term:
                 continue
             cur.expect(">")
             break
-        inner = _function(cur)
+        inner = yield _function(cur)
         return Node("template", (Node("tparams", tuple(tparams)), inner))
 
     ret = _type(cur)
@@ -204,7 +192,7 @@ def _function(cur: _Cursor) -> Term:
                 continue
             break
     cur.expect(")")
-    body = _block(cur)
+    body = yield _block(cur)
     return Node("fn", (Node(name), ret, Node("params", tuple(params)), body))
 
 
@@ -218,41 +206,41 @@ def _type(cur: _Cursor) -> Term:
     return t
 
 
-def _block(cur: _Cursor) -> Term:
+def _block(cur: _Cursor) -> _Step:
     cur.expect("{")
     stmts = []
     while cur.peek() != "}":
-        stmts.append(_statement(cur))
+        stmts.append((yield _statement(cur)))
     cur.next()
     return Node("block", tuple(stmts))
 
 
-def _statement(cur: _Cursor) -> Term:
+def _statement(cur: _Cursor) -> _Step:
     head = cur.peek()
     if head == "{":
-        return _block(cur)
+        return (yield _block(cur))
     if head == "return":
         cur.next()
-        value = _expression(cur)
+        value = yield _expression(cur)
         cur.expect(";")
         return Node("return", (value,))
     if head == "for":
         cur.next()
         cur.expect("(")
-        init: Term = Node("empty") if cur.peek() == ";" else _simple_statement(cur)
+        init: Term = Node("empty") if cur.peek() == ";" else (yield _simple_statement(cur))
         cur.expect(";")
-        cond: Term = Node("empty") if cur.peek() == ";" else _expression(cur)
+        cond: Term = Node("empty") if cur.peek() == ";" else (yield _expression(cur))
         cur.expect(";")
-        step: Term = Node("empty") if cur.peek() == ")" else _expression(cur)
+        step: Term = Node("empty") if cur.peek() == ")" else (yield _expression(cur))
         cur.expect(")")
-        body = _statement(cur)
+        body = yield _statement(cur)
         return Node("for", (init, cond, step, body))
-    stmt = _simple_statement(cur)
+    stmt = yield _simple_statement(cur)
     cur.expect(";")
     return stmt
 
 
-def _simple_statement(cur: _Cursor) -> Term:
+def _simple_statement(cur: _Cursor) -> _Step:
     # A declaration when two identifier-ish tokens stand side by side
     # ("double s", "int i"); otherwise an expression statement.
     if cur.kind() in ("identifier", "keyword") and _looks_like_declarator(cur):
@@ -260,9 +248,9 @@ def _simple_statement(cur: _Cursor) -> Term:
         name = cur.next()
         if cur.peek() == "=":
             cur.next()
-            return Node("decl", (dtype, Node(name), _expression(cur)))
+            return Node("decl", (dtype, Node(name), (yield _expression(cur))))
         return Node("decl", (dtype, Node(name)))
-    return Node("expr", (_expression(cur),))
+    return Node("expr", ((yield _expression(cur)),))
 
 
 def _looks_like_declarator(cur: _Cursor) -> bool:

@@ -369,7 +369,6 @@ class _CandidateTrie:
 
     def __init__(self, bodies: Sequence[Term]):
         self._root: dict = {}
-        self._leaves: dict[int, list[int]] = {}  # candidate -> its leaf
         for ci, body in enumerate(bodies):
             if isinstance(body, Node):  # a bare metavariable has no sites
                 *path, last = [
@@ -379,14 +378,7 @@ class _CandidateTrie:
                 inner = self._root
                 for symbol in path:
                     inner = inner.setdefault(symbol, {})
-                leaf = self._leaves[ci] = inner.setdefault(last, [])
-                leaf.append(ci)
-
-    def remove(self, ci: int) -> None:
-        """Drop candidate ``ci``.  Its branch stays, and may lead nowhere."""
-        leaf = self._leaves.pop(ci, None)
-        if leaf is not None:
-            leaf.remove(ci)
+                inner.setdefault(last, []).append(ci)
 
     def lookup(self, node: Node) -> list[int]:
         """The candidates whose skeleton agrees with ``node``."""
@@ -429,7 +421,7 @@ class _HitLists:
     the candidates that come back.  After an accepted entry only the
     rewritten subterms and their ancestors lose their hits and are looked
     up again.  A dead candidate, one that was accepted or scored no gain,
-    leaves the trie and keeps no hits.
+    keeps no hits and is skipped when the trie returns it.
     """
 
     def __init__(self, candidates: Sequence[Abstraction], terms: list[Term]):
@@ -452,7 +444,6 @@ class _HitLists:
         return _outermost(self.hits[ci].values())
 
     def kill(self, ci: int) -> None:
-        self.trie.remove(ci)
         self.hits[ci] = None
 
     def update(self, changed: dict[int, tuple[Term, list[tuple[int, ...]]]]) -> None:
@@ -469,11 +460,14 @@ class _HitLists:
     def _file(self, ti: int, region: dict[tuple[int, ...], Node]) -> None:
         for path, node in region.items():
             for ci in self.trie.lookup(node):
+                hits = self.hits[ci]
+                if hits is None:
+                    continue
                 cand = self.candidates[ci]
                 bindings, cost = _match_cost(cand.body, node)
                 if bindings is not None:
                     args = tuple(bindings[p] for p in cand.params)
-                    self.hits[ci][ti, path] = _Site(ti, path, node.size, args, cost)
+                    hits[ti, path] = _Site(ti, path, node.size, args, cost)
                     self.owners.setdefault((ti, path), []).append(ci)
 
 

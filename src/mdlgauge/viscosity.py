@@ -21,6 +21,7 @@ from .term import (
     is_ground,
     iter_subterms,
     replace_at,
+    subterm_at,
     term_variables,
 )
 from .treedist import UNIT_COSTS, CostModel, ted
@@ -75,9 +76,7 @@ def perturb(t: Term, seed: int) -> Term:
 
     path, node = rng.choice(nodes[1:])  # never the root
     parent_path, pos = path[:-1], path[-1]
-    parent = t
-    for i in parent_path:
-        parent = parent.children[i]
+    parent = subterm_at(t, parent_path)
     kids = parent.children[:pos] + node.children + parent.children[pos + 1:]
     return replace_at(t, parent_path, Node(parent.label, kids))
 

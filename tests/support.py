@@ -1,6 +1,7 @@
 """Shared test helpers: an independent reference lexer, exhaustive tree
 enumeration, pattern subsumption checks, reference term operations, a
-reference tradeoff compressor and a reference tree edit distance."""
+reference tradeoff compressor, a reference tree edit distance and a reference
+C-fragment encoder."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import re
 from typing import Mapping, Optional, Sequence
 
 from mdlgauge import tradeoff
+from mdlgauge.encode import EncodeError
+from mdlgauge.lexcount import Token, tokenize
 from mdlgauge.term import (
     _VAR_NAME_RE,
     Abstraction,
@@ -545,3 +548,258 @@ def reference_ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
                         )
                     fd[x][y] = best
     return td[n - 1][m - 1]
+
+
+# ---------------------------------------------------------------------------
+# Reference C-fragment encoder: the recursive descent that precedence
+# climbing replaced, one function per precedence level.  The production
+# encoder must give the same term or the same EncodeError message.
+
+
+_REFERENCE_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
+_REFERENCE_COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
+_REFERENCE_ADD_OPS = ("+", "-")
+_REFERENCE_MUL_OPS = ("*", "/", "%")
+
+
+class _ReferenceCursor:
+    def __init__(self, tokens: tuple[Token, ...]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> str:
+        i = self.pos + ahead
+        return self.tokens[i].text if i < len(self.tokens) else ""
+
+    def kind(self) -> str:
+        return self.tokens[self.pos].kind if self.pos < len(self.tokens) else ""
+
+    def next(self) -> str:
+        if self.pos >= len(self.tokens):
+            raise EncodeError("unexpected end of input")
+        text = self.tokens[self.pos].text
+        self.pos += 1
+        return text
+
+    def expect(self, text: str) -> None:
+        got = self.next()
+        if got != text:
+            raise EncodeError(f"expected {text!r}, found {got!r}")
+
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+
+def reference_encode_expression(text: str) -> Term:
+    """Encode a single C-family expression as a term."""
+    cur = _ReferenceCursor(tokenize(text).tokens)
+    term = _reference_expression(cur)
+    if not cur.done():
+        raise EncodeError(f"trailing input at token {cur.peek()!r}")
+    return term
+
+
+def reference_encode_function(text: str) -> Term:
+    """Encode a function definition, optionally under a template header."""
+    cur = _ReferenceCursor(tokenize(text).tokens)
+    term = _reference_function(cur)
+    if not cur.done():
+        raise EncodeError(f"trailing input at token {cur.peek()!r}")
+    return term
+
+
+def _reference_expression(cur: _ReferenceCursor) -> Term:
+    return _reference_assignment(cur)
+
+
+def _reference_assignment(cur: _ReferenceCursor) -> Term:
+    left = _reference_comparison(cur)
+    if cur.peek() in _REFERENCE_ASSIGN_OPS:
+        op = cur.next()
+        right = _reference_assignment(cur)  # right associative
+        return Node(op, (left, right))
+    return left
+
+
+def _reference_binary(cur: _ReferenceCursor, operators: tuple[str, ...], operand) -> Term:
+    left = operand(cur)
+    while cur.peek() in operators:
+        op = cur.next()
+        left = Node(op, (left, operand(cur)))
+    return left
+
+
+def _reference_comparison(cur: _ReferenceCursor) -> Term:
+    return _reference_binary(cur, _REFERENCE_COMPARE_OPS, _reference_additive)
+
+
+def _reference_additive(cur: _ReferenceCursor) -> Term:
+    return _reference_binary(cur, _REFERENCE_ADD_OPS, _reference_multiplicative)
+
+
+def _reference_multiplicative(cur: _ReferenceCursor) -> Term:
+    return _reference_binary(cur, _REFERENCE_MUL_OPS, _reference_unary)
+
+
+def _reference_unary(cur: _ReferenceCursor) -> Term:
+    head = cur.peek()
+    if head == "*":
+        cur.next()
+        return Node("deref", (_reference_unary(cur),))
+    if head == "++":
+        cur.next()
+        return Node("preinc", (_reference_unary(cur),))
+    if head == "--":
+        cur.next()
+        return Node("predec", (_reference_unary(cur),))
+    if head == "-":
+        cur.next()
+        return Node("neg", (_reference_unary(cur),))
+    return _reference_postfix(cur)
+
+
+def _reference_postfix(cur: _ReferenceCursor) -> Term:
+    term = _reference_primary(cur)
+    while True:
+        head = cur.peek()
+        if head == "(":
+            cur.next()
+            args = _reference_arguments(cur)
+            if isinstance(term, Node) and not term.children:
+                term = Node(term.label, args)  # call through an identifier
+            else:
+                term = Node("call", (term,) + args)
+        elif head == "[":
+            cur.next()
+            index = _reference_expression(cur)
+            cur.expect("]")
+            term = Node("index", (term, index))
+        elif head == "." and cur.kind() == "punctuator":
+            cur.next()
+            member = cur.next()
+            term = Node("member", (term, Node(member)))
+        else:
+            return term
+
+
+def _reference_arguments(cur: _ReferenceCursor) -> tuple[Term, ...]:
+    if cur.peek() == ")":
+        cur.next()
+        return ()
+    args = [_reference_expression(cur)]
+    while cur.peek() == ",":
+        cur.next()
+        args.append(_reference_expression(cur))
+    cur.expect(")")
+    return tuple(args)
+
+
+def _reference_primary(cur: _ReferenceCursor) -> Term:
+    if cur.peek() == "(":
+        cur.next()
+        term = _reference_expression(cur)
+        cur.expect(")")
+        return term
+    kind = cur.kind()
+    if kind in ("identifier", "keyword", "number"):
+        return Node(cur.next())
+    raise EncodeError(f"unexpected token {cur.peek()!r}")
+
+
+def _reference_function(cur: _ReferenceCursor) -> Term:
+    if cur.peek() == "template":
+        cur.next()
+        cur.expect("<")
+        tparams = []
+        while True:
+            cur.expect("typename")
+            tparams.append(Node(cur.next()))
+            if cur.peek() == ",":
+                cur.next()
+                continue
+            cur.expect(">")
+            break
+        inner = _reference_function(cur)
+        return Node("template", (Node("tparams", tuple(tparams)), inner))
+
+    ret = _reference_type(cur)
+    name = cur.next()
+    cur.expect("(")
+    params = []
+    if cur.peek() != ")":
+        while True:
+            ptype = _reference_type(cur)
+            pname = cur.next()
+            params.append(Node("param", (ptype, Node(pname))))
+            if cur.peek() == ",":
+                cur.next()
+                continue
+            break
+    cur.expect(")")
+    body = _reference_block(cur)
+    return Node("fn", (Node(name), ret, Node("params", tuple(params)), body))
+
+
+def _reference_type(cur: _ReferenceCursor) -> Term:
+    if cur.kind() not in ("identifier", "keyword"):
+        raise EncodeError(f"expected a type, found {cur.peek()!r}")
+    t: Term = Node(cur.next())
+    while cur.peek() == "*":
+        cur.next()
+        t = Node("ptr", (t,))
+    return t
+
+
+def _reference_block(cur: _ReferenceCursor) -> Term:
+    cur.expect("{")
+    stmts = []
+    while cur.peek() != "}":
+        stmts.append(_reference_statement(cur))
+    cur.next()
+    return Node("block", tuple(stmts))
+
+
+def _reference_statement(cur: _ReferenceCursor) -> Term:
+    head = cur.peek()
+    if head == "{":
+        return _reference_block(cur)
+    if head == "return":
+        cur.next()
+        value = _reference_expression(cur)
+        cur.expect(";")
+        return Node("return", (value,))
+    if head == "for":
+        cur.next()
+        cur.expect("(")
+        init: Term = Node("empty") if cur.peek() == ";" else _reference_simple_statement(cur)
+        cur.expect(";")
+        cond: Term = Node("empty") if cur.peek() == ";" else _reference_expression(cur)
+        cur.expect(";")
+        step: Term = Node("empty") if cur.peek() == ")" else _reference_expression(cur)
+        cur.expect(")")
+        body = _reference_statement(cur)
+        return Node("for", (init, cond, step, body))
+    stmt = _reference_simple_statement(cur)
+    cur.expect(";")
+    return stmt
+
+
+def _reference_simple_statement(cur: _ReferenceCursor) -> Term:
+    # A declaration when two identifier-ish tokens stand side by side
+    # ("double s", "int i"); otherwise an expression statement.
+    if cur.kind() in ("identifier", "keyword") and _reference_looks_like_declarator(cur):
+        dtype = _reference_type(cur)
+        name = cur.next()
+        if cur.peek() == "=":
+            cur.next()
+            return Node("decl", (dtype, Node(name), _reference_expression(cur)))
+        return Node("decl", (dtype, Node(name)))
+    return Node("expr", (_reference_expression(cur),))
+
+
+def _reference_looks_like_declarator(cur: _ReferenceCursor) -> bool:
+    ahead = 1
+    while cur.peek(ahead) == "*":
+        ahead += 1
+    nxt = cur.peek(ahead)
+    return bool(nxt) and (nxt[0].isalpha() or nxt[0] == "_")

@@ -10,6 +10,7 @@ import pytest
 
 import mdlgauge
 from mdlgauge.cli import ManifestInvalid, load_manifest, main
+from mdlgauge.term import parse_term
 
 
 def run_cli(capsys, *argv):
@@ -325,20 +326,46 @@ def test_term_syntax_error_is_exit_2(capsys, tmp_path):
     assert "position" in err
 
 
-@pytest.mark.parametrize(
-    "source, message",
-    [
-        ("int f(", "expected a type"),
-        ("int f() { return " + "(" * 5000 + "x" + ")" * 5000 + "; }", "nested too deeply"),
-    ],
-    ids=["encode-error", "nested-too-deeply"],
-)
+@pytest.mark.parametrize("source, message", [("int f(", "expected a type")], ids=["encode-error"])
 def test_bad_cpp_is_an_input_error(capsys, tmp_path, source, message):
     bad = tmp_path / "bad.cpp"
     bad.write_text(source)
     code, out, err = run_cli(capsys, "lgg", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith(f"mdlgauge: {bad}: {message}")
+
+
+# C++ functions nested 5000 deep, each with the term it encodes as.
+CPP_DEPTH = 5000
+DEEP_CPP = {
+    "parentheses": (
+        "int f() { return " + "(" * CPP_DEPTH + "x" + ")" * CPP_DEPTH + "; }",
+        "(fn f int params (block (return x)))",
+    ),
+    "prefix": (
+        "int f() { return " + "- " * CPP_DEPTH + "x; }",
+        "(fn f int params (block (return " + "(neg " * CPP_DEPTH + "x" + ")" * CPP_DEPTH + ")))",
+    ),
+    "calls": (
+        "int f() { return " + "g(" * CPP_DEPTH + "x" + ")" * CPP_DEPTH + "; }",
+        "(fn f int params (block (return " + "(g " * CPP_DEPTH + "x" + ")" * CPP_DEPTH + ")))",
+    ),
+    "blocks": (
+        "void f() " + "{" * CPP_DEPTH + "}" * CPP_DEPTH,
+        "(fn f void params " + "(block " * (CPP_DEPTH - 1) + "block" + ")" * CPP_DEPTH,
+    ),
+}
+
+
+@pytest.mark.parametrize("source, term", DEEP_CPP.values(), ids=DEEP_CPP)
+def test_deep_cpp(capsys, tmp_path, source, term):
+    deep, leaf = tmp_path / "deep.cpp", tmp_path / "a.term"
+    deep.write_text(source)
+    leaf.write_text("a")
+    assert run_cli(capsys, "lgg", str(deep)) == (0, f"params:\n{term}\n", "")
+    # No node is labeled a: delete all but one node and relabel that one.
+    distance = f"{parse_term(term).size}.000000\n"
+    assert run_cli(capsys, "ted", str(deep), str(leaf)) == (0, distance, "")
 
 
 # A unary chain 100 times deeper than the interpreter's default recursion

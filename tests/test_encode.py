@@ -1,8 +1,11 @@
 """The C-fragment-to-term translator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from support import reference_encode_expression, reference_encode_function
 
 from mdlgauge.encode import EncodeError, encode_expression, encode_function
+from mdlgauge.lexcount import tokenize
 from mdlgauge.term import parse_term, render_term
 
 
@@ -39,6 +42,44 @@ def test_expression_context_sentence():
 def test_expression_errors(bad):
     with pytest.raises(EncodeError):
         encode_expression(bad)
+
+
+# Each nesting 50 times deeper than the interpreter's default recursion
+# limit: the parse steps run from an explicit stack, not the call stack.
+DEEP = 5000
+DEEP_CASES = {
+    "parentheses": (encode_expression, "(" * DEEP + "x" + ")" * DEEP, "x"),
+    "prefix": (encode_expression, "- " * DEEP + "x", "(neg " * DEEP + "x" + ")" * DEEP),
+    "calls": (encode_expression, "f(" * DEEP + "x" + ")" * DEEP, "(f " * DEEP + "x" + ")" * DEEP),
+    "index": (
+        encode_expression,
+        "a[" * DEEP + "i" + "]" * DEEP,
+        "(index a " * DEEP + "i" + ")" * DEEP,
+    ),
+    "assignment": (encode_expression, "a = " * DEEP + "b", "(= a " * DEEP + "b" + ")" * DEEP),
+    "blocks": (
+        encode_function,
+        "void f() " + "{" * DEEP + "}" * DEEP,
+        "(fn f void params " + "(block " * (DEEP - 1) + "block" + ")" * (DEEP - 1) + ")",
+    ),
+    "for-bodies": (
+        encode_function,
+        "void f() { " + "for (;;) " * DEEP + "x; }",
+        "(fn f void params (block "
+        + "(for empty empty empty " * DEEP + "(expr x)" + ")" * DEEP
+        + "))",
+    ),
+    "template-headers": (
+        encode_function,
+        "template <typename T> " * DEEP + "void f() {}",
+        "(template (tparams T) " * DEEP + "(fn f void params block)" + ")" * DEEP,
+    ),
+}
+
+
+@pytest.mark.parametrize("encode, source, expected", DEEP_CASES.values(), ids=DEEP_CASES)
+def test_deep_nesting_encodes(encode, source, expected):
+    assert render_term(encode(source)) == expected
 
 
 def test_encodes_all_bundled_components(corpus):
@@ -93,3 +134,123 @@ def test_lgg_of_sum_loop_variants(corpus):
     for variant, args in zip(variants, witnesses):
         assert match_term(abstraction.body, variant) is not None
         assert instantiate(abstraction, args) == variant
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the recursive descent in tests/support.py: every
+# input gives the same term as the reference, or the same EncodeError message.
+
+
+def _outcome(encode, text):
+    try:
+        return encode(text)
+    except EncodeError as exc:
+        return f"EncodeError: {exc}"
+
+
+def assert_encodes_like_the_reference(text):
+    assert _outcome(encode_expression, text) == _outcome(reference_encode_expression, text)
+    assert _outcome(encode_function, text) == _outcome(reference_encode_function, text)
+
+
+BINARY_OPERATORS = "= += -= *= /= %= == != < > <= >= + - * / %".split()
+PREFIX_OPERATORS = ["*", "++", "--", "-"]
+VOCABULARY = (
+    "a b f x i n T 0 1 2.5 0.0f int double void template typename return for "
+    "++ -- && ! ( ) [ ] { } , ; ."
+).split() + BINARY_OPERATORS
+TOKEN_SOUP = st.lists(st.sampled_from(VOCABULARY), max_size=40).map(" ".join)
+
+NAMES = st.sampled_from(["a", "b", "f", "x", "i", "n"])
+TYPES = st.builds(
+    lambda t, stars: t + " *" * stars, st.sampled_from(["int", "double", "T"]), st.integers(0, 2)
+)
+ATOMS = NAMES | st.sampled_from(["0", "1", "2.5", "0.0f", "true"])
+
+
+def _chains(inner):
+    """Operands built from ``inner``, joined by a run of binary operators."""
+    operand = st.one_of(
+        ATOMS,
+        st.builds(lambda op, x: f"{op} {x}", st.sampled_from(PREFIX_OPERATORS), inner),
+        inner.map(lambda x: f"({x})"),
+        st.builds(
+            lambda head, args: f"{head}({', '.join(args)})", inner, st.lists(inner, max_size=3)
+        ),
+        st.builds(lambda base, index: f"{base}[{index}]", inner, inner),
+        st.builds(lambda base, name: f"{base} . {name}", inner, NAMES),
+    )
+    return st.builds(
+        lambda first, rest: " ".join([first] + [f"{op} {x}" for op, x in rest]),
+        operand,
+        st.lists(st.tuples(st.sampled_from(BINARY_OPERATORS), operand), max_size=4),
+    )
+
+
+EXPRESSIONS = st.recursive(ATOMS, _chains, max_leaves=16)
+SIMPLE_STATEMENTS = st.one_of(
+    st.builds(lambda t, name: f"{t} {name}", TYPES, NAMES),
+    st.builds(lambda t, name, value: f"{t} {name} = {value}", TYPES, NAMES, EXPRESSIONS),
+    EXPRESSIONS,
+)
+OPTIONAL_EXPRESSIONS = EXPRESSIONS | st.just("")
+STATEMENTS = st.recursive(
+    SIMPLE_STATEMENTS.map(lambda s: s + ";") | EXPRESSIONS.map(lambda e: f"return {e};"),
+    lambda s: st.one_of(
+        st.lists(s, max_size=3).map(lambda body: "{ " + " ".join(body) + " }"),
+        st.builds(
+            lambda init, cond, step, body: f"for ({init}; {cond}; {step}) {body}",
+            SIMPLE_STATEMENTS | st.just(""),
+            OPTIONAL_EXPRESSIONS,
+            OPTIONAL_EXPRESSIONS,
+            s,
+        ),
+    ),
+    max_leaves=6,
+)
+FUNCTIONS = st.builds(
+    lambda headers, ret, name, params, body: "".join(
+        f"template <{', '.join('typename ' + p for p in header)}> " for header in headers
+    )
+    + f"{ret} {name}({', '.join(params)}) {{ {' '.join(body)} }}",
+    st.lists(st.lists(st.sampled_from(["T", "U"]), min_size=1, max_size=2), max_size=2),
+    TYPES,
+    NAMES,
+    st.lists(st.builds(lambda t, name: f"{t} {name}", TYPES, NAMES), max_size=3),
+    st.lists(STATEMENTS, max_size=3),
+)
+
+
+def _edit(text, k, edit, token):
+    """``text`` with one token edit at token position ``k``, modulo its length."""
+    tokens = [t.text for t in tokenize(text).tokens]
+    k %= len(tokens) + 1
+    if edit == "drop":
+        del tokens[k:k + 1]
+    elif edit == "insert":
+        tokens.insert(k, token)
+    elif edit == "replace":
+        tokens[k:k + 1] = [token]
+    return " ".join(tokens)
+
+
+# Valid inputs, and inputs one token away from valid for the error paths.
+GRAMMAR_BUILT = st.builds(
+    _edit,
+    EXPRESSIONS | FUNCTIONS,
+    st.integers(0, 200),
+    st.sampled_from(["keep", "drop", "insert", "replace"]),
+    st.sampled_from(VOCABULARY),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_SOUP)
+def test_token_soup_encodes_like_the_reference(text):
+    assert_encodes_like_the_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAMMAR_BUILT)
+def test_grammar_built_inputs_encode_like_the_reference(text):
+    assert_encodes_like_the_reference(text)
