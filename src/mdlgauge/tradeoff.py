@@ -9,6 +9,12 @@ For each level we report the compression ratio achieved and the mean
 matching work per reuse, which together trace the two curves: more powerful
 mechanisms compress better and cost more to invert.
 
+L2's motif candidates come from anti-unifying neighbours in a window of
+distinct subterms sorted by their text.  Each windowed subterm is rendered
+once, from its children's texts, and each pair is generalized by one walk
+that gives up as soon as it needs a fourth parameter, before any candidate
+is built.
+
 Each level picks library entries greedily by savings.  The candidates are
 filed once in a discrimination tree keyed on their bodies' pre-order
 (label, arity) symbols, where a metavariable skips one whole subterm.
@@ -37,6 +43,8 @@ from .term import (
     Var,
     instantiate,
     iter_subterms,
+    # Not called here, where motif candidates come from _lgg_pair, but
+    # perfbench/spans.py wraps ``tradeoff.lgg`` by name in traced runs.
     lgg,
     render_term,
     replace_at,
@@ -75,10 +83,12 @@ class DomainSpec:
             problems.append("motif_rate must lie in [0, 1]")
         if self.alphabet_size < 1:
             problems.append("alphabet_size must be positive")
-        if self.motif_size > self.program_size:
-            problems.append("motif_size must not exceed program_size")
-        if self.motif_count > 0 and self.motif_rate * self.program_size < self.motif_size:
-            problems.append("motif_rate * program_size must cover at least one motif instance")
+        # With no motifs planted, motif_size is never used.
+        if self.motif_count > 0:
+            if self.motif_size > self.program_size:
+                problems.append("motif_size must not exceed program_size")
+            if self.motif_rate * self.program_size < self.motif_size:
+                problems.append("motif_rate * program_size must cover at least one motif instance")
         if problems:
             raise InconsistentSpec("; ".join(problems))
 
@@ -270,6 +280,8 @@ _MAX_WINDOW = 64
 _MAX_CANDIDATES = 400
 # No candidate generator reads a smaller subterm.
 _MIN_COUNTED_SIZE = min(_MIN_CONST_SIZE, _MIN_MOTIF_SIZE)
+# The variables a motif candidate may have, named as ``lgg`` names them.
+_PAIR_VARS = tuple(Var(f"v{k}") for k in range(_MAX_MOTIF_PARAMS))
 
 
 @dataclass
@@ -572,42 +584,85 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
 
     Sorting by rendered text clusters structurally similar subterms, so
     generalizing each entry against its next neighbors finds repeated
-    parameterized shapes without comparing all pairs.
+    parameterized shapes without comparing all pairs.  Each windowed
+    subterm is rendered once, smallest first, from its children's texts,
+    and each pair is generalized by ``_lgg_pair``, which gives up at the
+    first parameter past _MAX_MOTIF_PARAMS.
     """
-    window = sorted(
-        (t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW), key=render_term
-    )
+    window = [t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW]
+    # id -> render_term text.  A child is smaller than its parent, so the
+    # text of a windowed child is already here, unless the child is an equal
+    # copy of the windowed term, not that term itself.  Copies and children
+    # below the window are rendered in full.
+    text: dict[int, str] = {}
+    for t in sorted(window, key=lambda t: t.size):
+        parts = [t.label]
+        for c in t.children:
+            rendered = text.get(id(c))
+            parts.append(render_term(c) if rendered is None else rendered)
+        text[id(t)] = "(" + " ".join(parts) + ")"
+    window.sort(key=lambda t: text[id(t)])
 
     # (body, params) -> (ground nodes, candidate)
     found: dict[tuple[Term, tuple[str, ...]], tuple[int, Abstraction]] = {}
     for i, left in enumerate(window):
-        for j in (i + 1, i + 2):
-            if j >= len(window):
-                break
-            right = window[j]
+        for right in window[i + 1 : i + 3]:
             if left.label != right.label or len(left.children) != len(right.children):
                 continue
-            cand = lgg([left, right])
-            if not 1 <= len(cand.params) <= _MAX_MOTIF_PARAMS:
+            pair = _lgg_pair(left, right)
+            if pair is None:
                 continue
-            ground = _ground_nodes(cand.body)
-            if cand.body.size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
+            # Distinct terms disagree somewhere, so every pair has a parameter.
+            body, params, occurrences = pair
+            ground = body.size - occurrences
+            if body.size < _MIN_MOTIF_SIZE or ground < _MIN_GROUND_NODES:
                 continue
-            found.setdefault((cand.body, cand.params), (ground, cand))
+            key = (body, params)
+            if key not in found:
+                found[key] = (ground, Abstraction("lgg", params, body))
 
     ranked = sorted(found.values(), key=lambda gc: (-gc[0], render_term(gc[1].body)))
     return [cand for _, cand in ranked[:_MAX_CANDIDATES]]
 
 
-def _ground_nodes(t: Term) -> int:
-    """Number of non-variable nodes."""
-    count = 0
-    stack = [t]
+def _lgg_pair(
+    left: Term, right: Term
+) -> Optional[tuple[Term, tuple[str, ...], int]]:
+    """``lgg([left, right])``'s body and parameters, and the number of
+    variable occurrences in the body, or None once a pair of ground terms
+    needs more than _MAX_MOTIF_PARAMS parameters.
+
+    Variables are named v0, v1, ... by first occurrence in pre-order, one
+    per distinct pair of disagreeing subterms, as ``lgg`` names them.
+    """
+    # Each pair of disagreeing subterms -> its variable
+    slots: dict[tuple[Term, Term], Var] = {}
+    occurrences = 0
+    done: list[Term] = []  # finished subterms awaiting their parent
+    # Pairs of corresponding subterms in pre-order.  A lone Node marks a
+    # pair whose children are done: it is rebuilt from them, with its label.
+    stack: list = [(left, right)]
     while stack:
-        cur = stack.pop()
-        if cur.ground:
-            count += cur.size
-        elif cur.__class__ is Node:
-            count += 1
-            stack.extend(cur.children)
-    return count
+        pair = stack.pop()
+        if pair.__class__ is not tuple:
+            cut = len(done) - len(pair.children)
+            kids = tuple(done[cut:])
+            del done[cut:]
+            done.append(Node(pair.label, kids))
+            continue
+        x, y = pair
+        if x.label != y.label or len(x.children) != len(y.children):
+            var = slots.get(pair)
+            if var is None:
+                if len(slots) == _MAX_MOTIF_PARAMS:
+                    return None
+                var = slots[pair] = _PAIR_VARS[len(slots)]
+            occurrences += 1
+            done.append(var)
+        # Leaves that agree on their label are equal.
+        elif x is y or x._hash == y._hash and (not x.children or x == y):
+            done.append(x)
+        else:
+            stack.append(x)
+            stack.extend(zip(reversed(x.children), reversed(y.children)))
+    return done[0], tuple(var.name for var in slots.values()), occurrences

@@ -306,6 +306,15 @@ def test_tradeoff_csv(capsys, tmp_path):
     assert lines[1].startswith("L0,0.000000,1.000000,0.000000")
 
 
+def test_tradeoff_without_motifs_ignores_motif_size(capsys):
+    # The default --motif-size exceeds --size, but no motif is planted.
+    code, out, err = run_cli(capsys, "tradeoff", "--motifs", "0", "--size", "10")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["L0", "L1", "L2"]
+    assert [row[2] for row in rows] == ["1.000000"] * 3
+
+
 def test_tradeoff_rejects_bad_spec(capsys):
     code, _, err = run_cli(capsys, "tradeoff", "--programs", "0")
     assert code == 2

@@ -1,8 +1,12 @@
 """Synthetic corpora and the compression/inversion tradeoff ladder."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlgauge import tradeoff
+from mdlgauge.sampling import random_ground_term
 from mdlgauge.term import (
     Abstraction,
     Node,
@@ -12,6 +16,7 @@ from mdlgauge.term import (
     lgg,
     parse_term,
     render_term,
+    replace_at,
     subterm_at,
     term_size,
 )
@@ -26,7 +31,12 @@ from mdlgauge.tradeoff import (
     generate_corpus_with_truth,
     ground_truth_floor,
 )
-from support import reference_compress, reference_greedy_rewrite, skolemize
+from support import (
+    _reference_motif_candidates,
+    reference_compress,
+    reference_greedy_rewrite,
+    skolemize,
+)
 
 L0, L1, L2 = LADDER
 
@@ -260,6 +270,64 @@ def test_agrees_with_reference_on_generated_corpora(spec):
         assert outcome(run) == outcome(reference_compress(corpus, level))
         assert len(corpus) == len(snapshot)
         assert all(t is s for t, s in zip(corpus, snapshot))
+
+
+# The README's spec at 200 programs fills the window far beyond the small
+# specs, and the motif-free control gives only chance coincidences.
+CANDIDATE_SPECS = REFERENCE_SPECS + [
+    DomainSpec(7, 200, 200, 3, 12, 0.4),
+    DomainSpec(12, 30, 150, 0, 12, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", CANDIDATE_SPECS, ids=lambda s: f"seed{s.seed}-{s.program_count}x{s.program_size}"
+)
+def test_motif_candidates_equal_the_reference(spec):
+    corpus = generate_corpus(spec)
+    got = tradeoff._motif_candidates(tradeoff._subterm_counts(corpus))
+    want = _reference_motif_candidates(corpus)
+    assert [(a.name, a.params, render_term(a.body)) for a in got] == [
+        (a.name, a.params, render_term(a.body)) for a in want
+    ]
+
+
+@st.composite
+def rooted_pairs(draw):
+    """A random ground term and a copy with a few random proper subterms
+    replaced, so the two share their root symbol and disagree in a few
+    places.  A replacement may cover every copy of a subterm, so that a
+    disagreement repeats."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    alphabet = "abcd"[: draw(st.integers(2, 4))]
+    left = random_ground_term(rng, draw(st.integers(2, 40)), alphabet)
+    right = left
+    for _ in range(draw(st.integers(0, 12))):
+        subterms = list(iter_subterms(right))[1:]
+        path, old = rng.choice(subterms)
+        new = random_ground_term(rng, rng.randint(1, 4), alphabet)
+        # Copies of one subterm never overlap, so each path stays valid.
+        every_copy = draw(st.booleans())
+        for at, sub in subterms:
+            if at == path or every_copy and sub == old:
+                right = replace_at(right, at, new)
+    return left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_pairs())
+def test_pairwise_walk_is_lgg_up_to_the_parameter_limit(pair):
+    left, right = pair
+    expected = lgg([left, right])
+    got = tradeoff._lgg_pair(left, right)
+    if len(expected.params) > tradeoff._MAX_MOTIF_PARAMS:
+        assert got is None
+        return
+    body, params, occurrences = got
+    assert body == expected.body
+    assert params == expected.params
+    ground_nodes = sum(1 for _, sub in iter_subterms(body) if isinstance(sub, Node))
+    assert body.size - occurrences == ground_nodes
 
 
 def fresh_hits(candidate, terms):
