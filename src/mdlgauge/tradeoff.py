@@ -590,18 +590,17 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
     first parameter past _MAX_MOTIF_PARAMS.
     """
     window = [t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW]
-    # id -> render_term text.  A child is smaller than its parent, so the
-    # text of a windowed child is already here, unless the child is an equal
-    # copy of the windowed term, not that term itself.  Copies and children
-    # below the window are rendered in full.
-    text: dict[int, str] = {}
+    # term -> render_term text.  A child is smaller than its parent, so the
+    # text of a windowed child, or of an equal copy of one, is already here.
+    # Children below the window are rendered in full.
+    text: dict[Term, str] = {}
     for t in sorted(window, key=lambda t: t.size):
         parts = [t.label]
         for c in t.children:
-            rendered = text.get(id(c))
+            rendered = text.get(c)
             parts.append(render_term(c) if rendered is None else rendered)
-        text[id(t)] = "(" + " ".join(parts) + ")"
-    window.sort(key=lambda t: text[id(t)])
+        text[t] = "(" + " ".join(parts) + ")"
+    window.sort(key=text.__getitem__)
 
     # (body, params) -> (ground nodes, candidate)
     found: dict[tuple[Term, tuple[str, ...]], tuple[int, Abstraction]] = {}

@@ -6,7 +6,10 @@ two trees needs fewer subproblems: as given, or with both trees mirrored
 left sibling a keyroot, so a right-spined comb costs it cubic time while
 its mirror image is cheap; mirroring both trees leaves the distance
 unchanged.  This is the two-strategy case of RTED (Pawlik & Augsten, PVLDB
-2011).  ``ted_oracle`` recomputes the same minimum by brute memoized
+2011).  Whole-number costs are summed as exact ints, which come out as the
+float sums would, bit for bit, and cost less to add; other costs are summed
+as floats.  A distance too large for a float raises ValueError.
+``ted_oracle`` recomputes the same minimum by brute memoized
 recursion over forests and exists purely to cross-check ``ted`` on small
 inputs.  Metavariables are treated as ordinary labels, so both work on
 patterns too.
@@ -111,6 +114,16 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     keyroots1, keyroots2 = _keyroots(lmld1), _keyroots(lmld2)
     n, m = len(labels1), len(labels2)
     dele, ins = costs.delete_cost, costs.insert_cost
+    relabel_by_id = [[costs.relabel(a, b) for b in ids2] for a in ids1]
+    # Whole-number costs are summed as ints: no sum can pass
+    # 2 * (n + m + 1) * the dearest cost, and below 2**53 floats hold every
+    # such sum exactly, so the result is the float one bit for bit.  Small
+    # ints are shared objects, where every float sum allocates a new one.
+    read = [dele, ins, *(c for row in relabel_by_id for c in row)]
+    zero = 0.0
+    if all(float(c).is_integer() for c in read) and 2 * (n + m + 1) * max(read) < 2**53:
+        zero, dele, ins = 0, int(dele), int(ins)
+        relabel_by_id = [[int(c) for c in row] for row in relabel_by_id]
 
     # Columns are t2's post-order indices shifted by one: column c stands
     # for node c - 1, and column lmld2[j] is the empty forest in front of
@@ -118,34 +131,43 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     # every keyroot pair, and a forest that starts at node k's leftmost leaf
     # sits at row lmld1[k] or column lmld2[k] without any offset.
     lead2 = [0] + lmld2
-    relabel_to = []  # [label id of t1][column]
-    for a in ids1:
-        by_id = [costs.relabel(a, b) for b in ids2]
-        relabel_to.append([0.0] + [by_id[b] for b in labels2])
+    # relabel_to[label id of t1][column]
+    relabel_to = [[zero] + [by_id[b] for b in labels2] for by_id in relabel_by_id]
     # inserts[y] and deletes[x]: the border costs, summed one at a time
-    inserts = [0.0] * (m + 1)
+    inserts = [zero] * (m + 1)
     for y in range(1, m + 1):
         inserts[y] = inserts[y - 1] + ins
-    deletes = [0.0] * (n + 1)
+    deletes = [zero] * (n + 1)
     for x in range(1, n + 1):
         deletes[x] = deletes[x - 1] + dele
-    td = [[0.0] * (m + 1) for _ in range(n)]
-    fd = [[0.0] * (m + 1) for _ in range(n + 1)]
+    td = [[zero] * (m + 1) for _ in range(n)]
+    fd = [[zero] * (m + 1) for _ in range(n + 1)]
 
     for i in keyroots1:
         li = lmld1[i]
+        # What row ix + 1 reads, the same for every keyroot of t2: the row
+        # above, its own row, its td row, its border cost, the row of the
+        # forest in front of ix's subtree, and, when ix is on i's leftmost
+        # path, its relabel costs (a node pair on both leftmost paths is a
+        # subtree distance, kept in td).
+        rows = [
+            (
+                fd[ix],
+                fd[ix + 1],
+                td[ix],
+                deletes[ix - li + 1],
+                fd[lmld1[ix]],
+                relabel_to[labels1[ix]] if lmld1[ix] == li else None,
+            )
+            for ix in range(li, i + 1)
+        ]
         for j in keyroots2:
             lj = lmld2[j]
             cols = range(lj + 1, j + 2)
             fd[li][lj : j + 2] = inserts[: j - lj + 2]
-            for ix in range(li, i + 1):
-                prev, cur, tdrow = fd[ix], fd[ix + 1], td[ix]
-                best = cur[lj] = deletes[ix - li + 1]
-                before = fd[lmld1[ix]]
-                if lmld1[ix] == li:
-                    # ix is on i's leftmost path: a node pair on both
-                    # leftmost paths is a subtree distance, kept in td.
-                    rel = relabel_to[labels1[ix]]
+            for prev, cur, tdrow, border, before, rel in rows:
+                best = cur[lj] = border
+                if rel is not None:
                     for c in cols:
                         cost = best + ins
                         best = prev[c] + dele
@@ -172,7 +194,10 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
                         if cost < best:
                             best = cost
                         cur[c] = best
-    return td[n - 1][m]
+    distance = float(td[n - 1][m])
+    if not math.isfinite(distance):
+        raise ValueError("the edit distance overflows: the costs are too large")
+    return distance
 
 
 _ORACLE_LIMIT = 10

@@ -250,6 +250,29 @@ def test_ted_rejects_non_finite_costs(capsys, tmp_path, costs):
     assert "finite" in err
 
 
+# Finite costs whose sums pass the largest float: the distance would be inf,
+# which is no 6-digit decimal.
+HUGE_COSTS = "1e308,1e308,1e308"
+
+
+def test_ted_overflowing_distance_is_exit_2(capsys, corpus):
+    code, out, err = run_cli(
+        capsys, "ted", str(corpus / "hypot_y.term"), str(corpus / "hypot_y_prime.term"),
+        "--costs", HUGE_COSTS,
+    )
+    assert (code, out) == (2, "")
+    assert "overflows" in err and "Traceback" not in err
+
+
+def test_lipschitz_overflowing_distance_is_exit_2(capsys, corpus):
+    code, out, err = run_cli(
+        capsys, "lipschitz", "--abstraction", str(corpus / "hypot.abs"), "--samples", "5",
+        "--costs", HUGE_COSTS,
+    )
+    assert (code, out) == (2, "")
+    assert "overflows" in err and "Traceback" not in err
+
+
 def test_lgg_output(capsys, tmp_path):
     t1 = tmp_path / "t1.term"
     t2 = tmp_path / "t2.term"

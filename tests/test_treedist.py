@@ -266,3 +266,49 @@ def test_metric_axioms(a, b, c):
 @given(TREES, TREES, st.sampled_from(EXACT_COSTS))
 def test_mirroring_both_trees_keeps_the_distance(a, b, costs):
     assert ted(a, b, costs) == ted(mirror(a), mirror(b), costs)
+
+
+# ---------------------------------------------------------------------------
+# whole-number costs: summed as ints, returned as the float the float sums
+# would give
+
+
+WHOLE_COST = st.one_of(st.integers(0, 5), st.integers(0, 5).map(float))
+WHOLE_COSTS = st.builds(CostModel, WHOLE_COST, WHOLE_COST, WHOLE_COST)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES, TREES, WHOLE_COSTS)
+def test_whole_number_costs_agree_with_reference_exactly(a, b, costs):
+    distance = ted(a, b, costs)
+    assert type(distance) is float
+    assert distance == reference_ted(a, b, costs)
+
+
+def test_costs_past_the_exact_int_bound_are_summed_as_floats():
+    # 2 * (n + m + 1) * 2**52 passes 2**53, so ted adds floats, which lose
+    # the unit relabels and deletes that an exact sum, 2**53 + 4, keeps.
+    costs = CostModel(2.0**52, 1.0, 1.0)
+    a, b = parse_term("(g a b c)"), parse_term("(f (f (f a)))")
+    assert ted(a, b, costs) == reference_ted(a, b, costs) == 2.0**53
+    assert ted(b, a, costs) == reference_ted(b, a, costs)
+
+
+def test_fractional_relabels_with_whole_insert_and_delete_agree():
+    rng = seeded("ted-class-costs")
+    costs = ClassCosts(1.0, 2.0, 1.0)
+    for _ in range(25):
+        t1 = random_ground_term(rng, rng.randint(1, 40), LABELS)
+        t2 = random_ground_term(rng, rng.randint(1, 40), LABELS)
+        assert ted(t1, t2, costs) == reference_ted(t1, t2, costs)
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "zigzag"])
+def test_combs_of_101_nodes_are_exact(shape):
+    # The benchmark's largest combs: relabeling each of the 50 internal
+    # nodes is the cheapest edit.
+    rng = seeded("ted-combs-101", shape)
+    leaves = [rng.choice(LABELS) for _ in range(101)]
+    a = comb(shape, 101, leaves, [rng.choice(LABELS) for _ in range(101)])
+    b = comb(shape, 101, leaves, ["z"] * 101)
+    assert ted(a, b) == ted(b, a) == 50.0
