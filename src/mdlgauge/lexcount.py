@@ -6,13 +6,19 @@ stripping comments or shortening names.  Two dialects are supported:
 ``cpp-like`` (maximal-munch lexing with multi-character operators, numeric
 and string literals) and ``generic`` (a crude fallback that groups word
 characters and nothing else).
+
+Each dialect is one master regex, matched once per token: whitespace and
+comments are an unnamed prefix of every match, so none of them costs a
+match of its own.  A ``Token`` is a named tuple, and since a lexeme's kind
+follows from its text, one call makes each distinct lexeme into a Token
+once and repeats it wherever the lexeme recurs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 DIALECTS = ("cpp-like", "generic")
 
@@ -37,13 +43,17 @@ _PUNCTUATORS = frozenset({"(", ")", "[", "]", "{", "}", ",", ";", ".", "#", "::"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# One master regex per dialect.  At each position the first alternative that
-# matches wins, so the order of the named groups is the scanner's precedence;
-# multi-character operators are listed longest first for maximal munch.
+# After the whitespace-and-comment prefix, the first alternative that
+# matches wins, so the order of the named groups is the scanner's
+# precedence; multi-character operators are listed longest first for
+# maximal munch.  The empty ``skip`` alternative matches at the end of the
+# text only: without it, trailing whitespace or a trailing comment would be
+# given back, one character at a time, to ``op``.
 _CPP_RE = re.compile(
     r"""
-      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
-    | (?P<bad_comment>/\*)
+    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:
+      (?P<bad_comment>/\*)
     | (?P<string>"(?:\\.|[^"\\\n])*")
     | (?P<char>'(?:\\.|[^'\\\n])*')
     | (?P<bad_literal>["'])
@@ -52,6 +62,8 @@ _CPP_RE = re.compile(
     | (?P<op><<=|>>=|->\*|\.\.\.
         |::|->|\+\+|--|\+=|-=|\*=|/=|%=|==|!=|<=|>=|&&|\|\||&=|\|=|\^=|<<|>>|\#\#|\.\*
         |.)
+    | (?P<skip>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -59,7 +71,7 @@ _CPP_RE = re.compile(
 # The generic fallback: runs of word characters, a leading digit making the
 # run a number, and any other non-space character on its own.
 _GENERIC_RE = re.compile(
-    r"(?P<skip>\s+)|(?P<number>[0-9][A-Za-z0-9_]*)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>.)",
+    r"\s*(?:(?P<number>[0-9][A-Za-z0-9_]*)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>.)|(?P<skip>\Z))",
     re.DOTALL,
 )
 
@@ -101,10 +113,12 @@ class InvalidIdentifier(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its class (identifier, keyword, number,
-    string-literal, char-literal, operator, or punctuator)."""
+    string-literal, char-literal, operator, or punctuator).
+
+    A named tuple, so it compares equal to the plain ``(kind, text)``
+    tuple with the same fields."""
 
     kind: str
     text: str
@@ -136,20 +150,28 @@ def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> Token
         raise ValueError(f"unsupported dialect: {dialect!r}")
     master, keywords = _SCANNERS[dialect]
     toks = []
+    # A lexeme's kind follows from its text alone, and tokens are
+    # immutable, so each distinct lexeme is made into a Token once.
+    made: dict[str, Token] = {}
     for m in master.finditer(text):
-        group, lexeme = m.lastgroup, m.group()
-        if group == "skip":
-            continue
-        if group == "word":
-            toks.append(Token("keyword" if lexeme in keywords else "identifier", lexeme))
-        elif group == "op":
-            toks.append(Token("punctuator" if lexeme in _PUNCTUATORS else "operator", lexeme))
-        elif group == "bad_comment":
-            raise UnterminatedComment("unterminated block comment", text, m.start())
-        elif group == "bad_literal":
-            raise UnterminatedLiteral("unterminated literal", text, m.start())
-        else:
-            toks.append(Token(_LITERAL_KINDS[group], lexeme))
+        group = m.lastgroup
+        lexeme = m.group(group)
+        tok = made.get(lexeme)
+        if tok is None:
+            if group == "word":
+                tok = Token("keyword" if lexeme in keywords else "identifier", lexeme)
+            elif group == "op":
+                tok = Token("punctuator" if lexeme in _PUNCTUATORS else "operator", lexeme)
+            elif group == "skip":
+                break  # only the end of the text is left
+            elif group == "bad_comment":
+                raise UnterminatedComment("unterminated block comment", text, m.start(group))
+            elif group == "bad_literal":
+                raise UnterminatedLiteral("unterminated literal", text, m.start(group))
+            else:
+                tok = Token(_LITERAL_KINDS[group], lexeme)
+            made[lexeme] = tok
+        toks.append(tok)
     return TokenStream(tuple(toks), source_id=source_id, dialect=dialect)
 
 

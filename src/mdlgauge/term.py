@@ -15,12 +15,18 @@ no intern table: equal terms built apart are distinct objects.  Every walk
 over a term is a loop with its own stack, so terms of any depth parse,
 render, match, unify and generalize without reaching the interpreter's
 recursion limit.
+
+``parse_term`` reads its text with one ``findall`` into token strings, and
+tells each token by its first character.  Leaves with the same text are one
+object within a parse.  Where a syntax error stands is worked out only once
+the parse has failed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -200,49 +206,77 @@ def replace_at(t: Term, path: Sequence[int], replacement: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 
-# One token: a '(' with the label after it, a '(' without one (an error), a
-# ')', a metavariable, a '?' without a name (an error), or a symbol, which
-# runs up to whitespace, a bracket or a '?'.  Every other character is
-# whitespace, which finditer skips.
-_TOKEN_RE = re.compile(
-    r"\(\s*(?:(?P<open>[^\s()?]+)|(?P<nolabel>))|(?P<close>\))"
-    r"|(?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\?)|(?P<symbol>[^\s()?]+)"
-)
+# One token: a '(' with the label after it (or, in error, without one), a
+# ')', a metavariable (or, in error, a '?' without a name), or a symbol,
+# which runs up to whitespace, a bracket or a '?'.  A token's first
+# character tells which.  Every other character is whitespace, which
+# findall skips.
+_TOKEN_RE = re.compile(r"\(\s*[^\s()?]*|\)|\?(?:[A-Za-z_][A-Za-z0-9_]*)?|[^\s()?]+")
 
 
 def parse_term(text: str) -> Term:
     """Parse parenthesized prefix notation, e.g. "(+ (* ?a ?a) (* ?b ?b))"."""
-    open_nodes: list[tuple[str, list[Term]]] = []  # (label, children so far)
-    result: Optional[Term] = None
-    for m in _TOKEN_RE.finditer(text):
-        if result is not None:
-            raise TermSyntaxError("trailing input after term", m.start())
-        kind = m.lastgroup
-        if kind == "open":
-            open_nodes.append((m.group(kind), []))
-            continue
-        if kind == "symbol":
-            term: Term = Node(m.group(kind))
-        elif kind == "close":
-            if not open_nodes:
-                raise TermSyntaxError("unexpected ')'", m.start())
-            label, kids = open_nodes.pop()
-            term = Node(label, tuple(kids))
-        elif kind == "var":
-            term = Var(m.group(kind)[1:])
-        elif kind == "nolabel":
-            raise TermSyntaxError("expected a symbol", m.end())
+    tokens = _TOKEN_RE.findall(text)
+    # Leaves by their token; terms are immutable, so one parse shares them.
+    leaves: dict[str, Term] = {}
+    top: list[Term] = []  # the whole term, once it is complete
+    kids = top  # the children so far of the innermost open node
+    open_nodes: list[tuple[str, list[Term]]] = []  # (label, its parent's kids)
+    for k, tok in enumerate(tokens):
+        first = tok[0]
+        if first == "(":
+            label = tok[1:].lstrip()
+            if not label:
+                break
+            open_nodes.append((label, kids))
+            kids = []
+        elif first == ")":
+            if kids is top:
+                break
+            label, parent = open_nodes.pop()
+            parent.append(Node(label, kids))
+            kids = parent
         else:
-            raise TermSyntaxError("'?' must be followed by a variable name", m.start())
-        if open_nodes:
-            open_nodes[-1][1].append(term)
-        else:
-            result = term
-    if open_nodes:
-        raise TermSyntaxError("missing ')'", len(text))
-    if result is None:
-        raise TermSyntaxError("unexpected end of input", len(text))
-    return result
+            leaf = leaves.get(tok)
+            if leaf is None:
+                if first != "?":
+                    leaf = Node(tok)
+                elif tok != "?":
+                    leaf = Var(tok[1:])
+                else:
+                    break
+                leaves[tok] = leaf
+            kids.append(leaf)
+    else:
+        if kids is top and len(top) == 1:
+            return top[0]
+        k = len(tokens)
+    raise _syntax_error(text, tokens, k, bool(top))
+
+
+def _syntax_error(text: str, tokens: list[str], k: int, complete: bool) -> TermSyntaxError:
+    """The error of a parse that stopped at token ``k`` (``len(tokens)`` at
+    the end of the text); ``complete`` if a whole term came before it."""
+    if complete:
+        # The first token after the term is the error; the term ends where
+        # its brackets first balance.
+        depth = 0
+        for k, tok in enumerate(tokens):
+            depth += (tok[0] == "(") - (tok[0] == ")")
+            if depth == 0:
+                break
+        k += 1
+    elif k == len(tokens):
+        return TermSyntaxError("missing ')'" if tokens else "unexpected end of input", len(text))
+    m = next(islice(_TOKEN_RE.finditer(text), k, None))
+    if complete:
+        return TermSyntaxError("trailing input after term", m.start())
+    first = tokens[k][0]
+    if first == "(":
+        return TermSyntaxError("expected a symbol", m.end())
+    if first == ")":
+        return TermSyntaxError("unexpected ')'", m.start())
+    return TermSyntaxError("'?' must be followed by a variable name", m.start())
 
 
 def render_term(t: Term) -> str:

@@ -18,6 +18,7 @@ patterns too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .term import Term, Var
@@ -36,9 +37,11 @@ class CostModel:
     relabel_cost: float = 1.0
 
     def __post_init__(self):
-        # Written so that NaN fails too.
+        # Written so that NaN fails too, and so does an int too large to
+        # become a float, which ted would meet as an OverflowError.
         if not all(
-            0 <= c < math.inf for c in (self.insert_cost, self.delete_cost, self.relabel_cost)
+            0 <= c <= sys.float_info.max
+            for c in (self.insert_cost, self.delete_cost, self.relabel_cost)
         ):
             raise ValueError("edit costs must be finite and nonnegative")
 

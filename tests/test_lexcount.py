@@ -1,7 +1,9 @@
 """Tokenizer behavior: the paper-style counting rules, renaming invariance,
 and agreement with an independently written reference lexer."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,63 @@ def test_reference_lexer_agrees_on_random_text(text):
     except LexError:
         return
     assert list(stream.texts()) == reference_lex(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(C_ISH)
+def test_lex_errors_point_at_the_unterminated_construct(text):
+    try:
+        tokenize(text)
+    except LexError as err:
+        data = text.encode("utf-8")
+        assert data[err.offset:].startswith((b"/*", b'"', b"'"))
+        tokenize(data[: err.offset].decode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a+b /* c */", "a+b // c", "a+b \n\t ", "a+b/**/", "a+b//", "a+b\n// c\n/* d */ "],
+)
+def test_text_ending_in_comments_or_whitespace(text):
+    # Nothing of the trailing comment or whitespace becomes a token.
+    assert list(tokenize(text).texts()) == reference_lex(text) == ["a", "+", "b"]
+
+
+def test_block_comment_then_an_unterminated_one():
+    with pytest.raises(UnterminatedComment) as err:
+        tokenize("/* a */ /*")
+    assert err.value.offset == 8
+    assert str(err.value) == "unterminated block comment at byte offset 8"
+
+
+def test_unterminated_string_after_comments_and_non_ascii_text():
+    # 'π', 'é' and 'ü' take two bytes each, so the quote at character 23
+    # is at byte 26.
+    text = 'π /* é */ x; // ü\n s = "oops;'
+    assert text.index('"') == 23
+    with pytest.raises(UnterminatedLiteral) as err:
+        tokenize(text)
+    assert err.value.offset == 26
+    assert str(err.value) == "unterminated literal at byte offset 26"
+
+
+def test_corpus_token_sequences_are_pinned(corpus):
+    # Every (kind, text) pair of every corpus file, as recorded from the
+    # scanner that skipped whitespace and comments as tokens of their own.
+    pinned = json.loads((Path(__file__).parent / "golden" / "corpus-tokens.json").read_text())
+    got = {
+        path.name: [[t.kind, t.text] for t in tokenize(path.read_text()).tokens]
+        for path in sorted(corpus.glob("*.cpp"))
+    }
+    assert got == pinned
+
+
+def test_tokens_are_named_tuples():
+    tok = Token("identifier", "x")
+    assert repr(tok) == "Token(kind='identifier', text='x')"
+    assert tok == ("identifier", "x") and hash(tok) == hash(("identifier", "x"))
+    with pytest.raises(AttributeError):
+        tok.text = "y"
 
 
 def test_comment_and_whitespace_invariance(corpus_text):

@@ -473,6 +473,37 @@ def test_parse_accepts_and_rejects_text_as_the_reference_does(text):
     assert _parse_outcome(parse_term, text) == _parse_outcome(reference_parse_term, text)
 
 
+# One fault each: spliced in at an offset, appended, or a ')' taken out.
+PARSE_FAULTS = ["stray ')'", "bare '?'", "'(' with no label", "trailing input", "dropped ')'"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_errors_in_large_terms_agree_with_the_reference(data):
+    # PATTERN_TERMS seldom passes 40 nodes, so the term comes from
+    # random_pattern, at a drawn size.
+    size = data.draw(st.integers(1, 200), label="size")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    text = render_term(random_pattern(rng, size, ("x", "y", "z")))
+    fault = data.draw(st.sampled_from(PARSE_FAULTS), label="fault")
+    if fault == "trailing input":
+        text += " " + data.draw(st.sampled_from(["a", "?x", "(f a)", ")"]), label="tail")
+    elif fault == "dropped ')'":
+        closes = [i for i, c in enumerate(text) if c == ")"]
+        if not closes:
+            text = "(f " + text  # a leaf has no ')' to drop: open one instead
+        else:
+            i = data.draw(st.sampled_from(closes), label="close")
+            text = text[:i] + text[i + 1:]
+    else:
+        i = data.draw(st.integers(0, len(text)), label="offset")
+        splice = {"stray ')'": " )", "bare '?'": "? ", "'(' with no label": "( )"}[fault]
+        text = text[:i] + splice + text[i:]
+    outcome = _parse_outcome(parse_term, text)
+    assert outcome[0] == "error"
+    assert outcome == _parse_outcome(reference_parse_term, text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_replace_at_agrees_with_the_reference(data):

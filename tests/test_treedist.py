@@ -1,6 +1,8 @@
 """Tree edit distance: oracle equivalence, agreement with the reference
 Zhang-Shasha, metric axioms, cost knobs."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,15 @@ def test_non_finite_costs_rejected(value):
     for field in ("insert_cost", "delete_cost", "relabel_cost"):
         with pytest.raises(ValueError):
             CostModel(**{field: value})
+
+
+def test_costs_beyond_the_float_range_rejected():
+    for field in ("insert_cost", "delete_cost", "relabel_cost"):
+        with pytest.raises(ValueError, match="edit costs must be finite and nonnegative"):
+            CostModel(**{field: 10**400})
+    # The largest int that converts to a finite float is still a cost.
+    big = CostModel(insert_cost=int(sys.float_info.max))
+    assert ted(Node("a"), Node("f", (Node("a"),)), big) == sys.float_info.max
 
 
 def test_metavariables_act_as_labels():
