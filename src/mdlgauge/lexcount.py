@@ -136,9 +136,6 @@ class TokenStream:
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
-
 
 def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> TokenStream:
     """Lex ``text`` into a TokenStream, discarding comments and whitespace.
@@ -206,7 +203,3 @@ def rename_identifiers(stream: TokenStream, mapping: Mapping[str, str]) -> Token
     )
     return TokenStream(renamed, source_id=stream.source_id, dialect=stream.dialect)
 
-
-def stream_text(stream: TokenStream) -> str:
-    """Render a stream back to lexable text (space at every boundary)."""
-    return " ".join(t.text for t in stream.tokens)

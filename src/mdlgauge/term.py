@@ -5,7 +5,9 @@ parameter slots; applying it is substitution, recovering the arguments that
 produced a given instance is matching, and reconciling two terms with
 unknowns on both sides is unification (here with union-find term graphs, so
 the work stays near-linear).  Anti-unification (``lgg``) goes the other way:
-given instances, it finds the least general term covering all of them.
+given instances, it finds the least general term covering all of them.  It
+is one pairwise walk, and the lgg of n terms is its left fold (Plotkin, "A
+note on inductive generalization", Machine Intelligence 5, 1970).
 
 Terms are immutable.  A ``Node`` works out its ``size`` (node count,
 metavariable leaves included), whether it is ``ground`` and its hash once,
@@ -340,12 +342,6 @@ class Substitution:
                 done.append(Node(cur.label, kids))
         return done[0]
 
-    def is_idempotent(self) -> bool:
-        return all(self.apply(v) == v for v in self.bindings.values())
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
 
 def render_substitution(s: Substitution) -> str:
     items = sorted(s.bindings.items())
@@ -582,8 +578,16 @@ def lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
     subterm tuples share a variable, and variables are numbered v0, v1,
     ... by first occurrence, so the result is deterministic.
     """
-    body, slots = _generalize(terms)
-    return Abstraction(name, tuple(slots.values()), body)
+    terms = tuple(terms)
+    if not terms:
+        raise ValueError("lgg needs at least one term")
+    for t in terms:
+        if not t.ground:
+            raise ValueError("lgg inputs must be ground")
+    body, params = terms[0], ()
+    for t in terms[1:]:
+        body, params, _ = _anti_unify(body, t)
+    return Abstraction(name, params, body)
 
 
 def lgg_with_witnesses(
@@ -592,54 +596,58 @@ def lgg_with_witnesses(
     """lgg plus, per input term, the argument tuple that reproduces it:
     ``instantiate(a, witnesses[i]) == terms[i]``."""
     terms = tuple(terms)
-    body, slots = _generalize(terms)
-    witnesses = [tuple(tup[i] for tup in slots) for i in range(len(terms))]
-    return Abstraction(name, tuple(slots.values()), body), witnesses
+    a = lgg(terms, name)
+    matches = [match_term(a.body, t).bindings for t in terms]
+    return a, [tuple(bindings[p] for p in a.params) for bindings in matches]
 
 
-def _generalize(terms: Sequence[Term]) -> tuple[Term, dict[tuple[Term, ...], str]]:
-    """The lgg's body, and the variable that each tuple of corresponding
-    subterms that disagree became, in order of first occurrence."""
-    terms = tuple(terms)
-    if not terms:
-        raise ValueError("lgg needs at least one term")
-    for t in terms:
-        if not t.ground:
-            raise ValueError("lgg inputs must be ground")
+# The variables of the first few slots, built once: the tradeoff compressor
+# generalizes thousands of pairs, each with a parameter or three.
+_SLOT_VARS = tuple(Var(f"v{k}") for k in range(4))
 
-    slots: dict[tuple[Term, ...], str] = {}
+
+def _anti_unify(
+    left: Term, right: Term, limit: Optional[int] = None
+) -> Optional[tuple[Term, tuple[str, ...], int]]:
+    """The lgg of ``left`` and the ground ``right``: its body, its
+    parameters and the number of variable occurrences in the body; or None
+    once the pair needs more than ``limit`` parameters.
+
+    Each distinct pair of disagreeing subterms becomes one variable, named
+    v0, v1, ... by first occurrence in pre-order.  A metavariable in
+    ``left`` always disagrees with the ground subterm across from it, so a
+    left-hand lgg folds in one more term: its variable and the new
+    subterm key a slot, as the tuple of all the inputs' subterms there
+    would.
+    """
+    slots: dict[tuple[Term, Term], Var] = {}
+    occurrences = 0
     done: list[Term] = []  # finished subterms awaiting their parent
-    # Tuples of corresponding subterms, visited in pre-order so that
-    # variables are numbered by first occurrence.
-    stack: list[tuple[tuple[Term, ...], bool]] = [(terms, False)]
+    # Pairs of corresponding subterms in pre-order.  A lone Node marks a
+    # pair whose children are done: it is rebuilt from them, with its label.
+    stack: list = [(left, right)]
     while stack:
-        tup, expanded = stack.pop()
-        first = tup[0]
-        label, arity = first.label, len(first.children)
-        if expanded:
-            cut = len(done) - arity
+        pair = stack.pop()
+        if pair.__class__ is not tuple:
+            cut = len(done) - len(pair.children)
             kids = tuple(done[cut:])
             del done[cut:]
-            done.append(Node(label, kids))
+            done.append(Node(pair.label, kids))
             continue
-        # The cached hashes rule out most unequal members without a walk.
-        h = first._hash
-        for t in tup:
-            if t is not first and (t._hash != h or t != first):
-                break
+        x, y = pair
+        if x.__class__ is Var or x.label != y.label or len(x.children) != len(y.children):
+            var = slots.get(pair)
+            if var is None:
+                k = len(slots)
+                if k == limit:
+                    return None
+                var = slots[pair] = _SLOT_VARS[k] if k < len(_SLOT_VARS) else Var(f"v{k}")
+            occurrences += 1
+            done.append(var)
+        # Leaves that agree on their label are equal.
+        elif x is y or x._hash == y._hash and (not x.children or x == y):
+            done.append(x)
         else:
-            done.append(first)
-            continue
-        # Ground terms hold no Var, so every member is a Node.
-        for t in tup:
-            if t.label != label or len(t.children) != arity:
-                var = slots.get(tup)
-                if var is None:
-                    var = slots[tup] = f"v{len(slots)}"
-                done.append(Var(var))
-                break
-        else:
-            stack.append((tup, True))
-            columns = list(zip(*[t.children for t in tup]))
-            stack.extend([(column, False) for column in reversed(columns)])
-    return done[0], slots
+            stack.append(x)
+            stack.extend(zip(reversed(x.children), reversed(y.children)))
+    return done[0], tuple(var.name for var in slots.values()), occurrences

@@ -11,9 +11,9 @@ mechanisms compress better and cost more to invert.
 
 L2's motif candidates come from anti-unifying neighbours in a window of
 distinct subterms sorted by their text.  Each windowed subterm is rendered
-once, from its children's texts, and each pair is generalized by one walk
-that gives up as soon as it needs a fourth parameter, before any candidate
-is built.
+once, from its children's texts, and each pair is generalized by ``term``'s
+own anti-unification walk, which gives up as soon as it needs a fourth
+parameter, before any candidate is built.
 
 Each level picks library entries greedily by savings.  The candidates are
 filed once in a discrimination tree keyed on their bodies' pre-order
@@ -43,13 +43,14 @@ from .term import (
     Var,
     instantiate,
     iter_subterms,
-    # Not called here, where motif candidates come from _lgg_pair, but
+    # Not called here, where motif candidates come from _anti_unify, but
     # perfbench/spans.py wraps ``tradeoff.lgg`` by name in traced runs.
     lgg,
     render_term,
     replace_at,
     subterm_at,
 )
+from .term import _anti_unify  # the pairwise walk behind lgg, with a limit
 from .term import _match_cost  # match with node-comparison accounting
 
 
@@ -280,8 +281,6 @@ _MAX_WINDOW = 64
 _MAX_CANDIDATES = 400
 # No candidate generator reads a smaller subterm.
 _MIN_COUNTED_SIZE = min(_MIN_CONST_SIZE, _MIN_MOTIF_SIZE)
-# The variables a motif candidate may have, named as ``lgg`` names them.
-_PAIR_VARS = tuple(Var(f"v{k}") for k in range(_MAX_MOTIF_PARAMS))
 
 
 @dataclass
@@ -328,7 +327,7 @@ def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
 def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionResult:
     terms = list(corpus)
     run = CompressionResult([], terms, 0, 0, 0)
-    candidates: list[Abstraction] = []
+    candidates: list[tuple[str, Abstraction]] = []
     if level.index >= 1:
         counts = _subterm_counts(terms)
         candidates.extend(_constant_candidates(counts))
@@ -525,12 +524,16 @@ def _savings(candidate: Abstraction, sites: list[_Site]) -> int:
     return per_site - candidate.body.size
 
 
-def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> None:
+def _greedy_rewrite(
+    run: CompressionResult, keyed: list[tuple[str, Abstraction]]
+) -> None:
     """Lazy-greedy selection: re-evaluate a candidate's savings against the
     current corpus when it reaches the top of the heap, apply it while the
-    savings stay positive."""
-    if not candidates:
+    savings stay positive.  ``keyed`` holds each candidate with its body's
+    rendering, which breaks ties between equal savings."""
+    if not keyed:
         return
+    candidates = [cand for _, cand in keyed]
     index = _HitLists(candidates, run.terms)
     version = 0
     # Keys are distinct renderings, so heap order never compares sites.  An
@@ -546,8 +549,8 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
         else:
             index.kill(ci)
 
-    for ci, cand in enumerate(candidates):
-        score(ci, render_term(cand.body))
+    for ci, (key, _) in enumerate(keyed):
+        score(ci, key)
     while heap:
         _, key, seen, ci, sites = heapq.heappop(heap)
         if seen != version:
@@ -567,26 +570,28 @@ def _greedy_rewrite(run: CompressionResult, candidates: list[Abstraction]) -> No
         index.update(changed)
 
 
-def _constant_candidates(counts: dict[Term, int]) -> list[Abstraction]:
+def _constant_candidates(counts: dict[Term, int]) -> list[tuple[str, Abstraction]]:
+    """Each repeated subterm whose naming saves nodes, with its rendering,
+    by savings and then by text."""
     # Every subterm of _MIN_CONST_SIZE or more nodes is a Node.
     ranked = [
-        (occ * (t.size - 1) - t.size, t)
+        (occ * (t.size - 1) - t.size, render_term(t), t)
         for t, occ in counts.items()
         if t.size >= _MIN_CONST_SIZE and occ >= 2 and occ * (t.size - 1) - t.size > 0
     ]
-    ranked.sort(key=lambda pair: (-pair[0], render_term(pair[1])))
-    return [Abstraction("const", (), t) for _, t in ranked]
+    ranked.sort(key=lambda r: (-r[0], r[1]))
+    return [(text, Abstraction("const", (), t)) for _, text, t in ranked]
 
 
-def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
-    """Candidate abstractions from pairwise anti-unification over windows of
-    the distinct subterms, sorted.
+def _motif_candidates(counts: dict[Term, int]) -> list[tuple[str, Abstraction]]:
+    """Candidate abstractions, each with its body's rendering, from
+    pairwise anti-unification over windows of the distinct subterms, sorted.
 
     Sorting by rendered text clusters structurally similar subterms, so
     generalizing each entry against its next neighbors finds repeated
     parameterized shapes without comparing all pairs.  Each windowed
     subterm is rendered once, smallest first, from its children's texts,
-    and each pair is generalized by ``_lgg_pair``, which gives up at the
+    and each pair is generalized by ``_anti_unify``, which gives up at the
     first parameter past _MAX_MOTIF_PARAMS.
     """
     window = [t for t in counts if _MIN_MOTIF_SIZE <= t.size <= _MAX_WINDOW]
@@ -608,7 +613,7 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
         for right in window[i + 1 : i + 3]:
             if left.label != right.label or len(left.children) != len(right.children):
                 continue
-            pair = _lgg_pair(left, right)
+            pair = _anti_unify(left, right, _MAX_MOTIF_PARAMS)
             if pair is None:
                 continue
             # Distinct terms disagree somewhere, so every pair has a parameter.
@@ -620,48 +625,8 @@ def _motif_candidates(counts: dict[Term, int]) -> list[Abstraction]:
             if key not in found:
                 found[key] = (ground, Abstraction("lgg", params, body))
 
-    ranked = sorted(found.values(), key=lambda gc: (-gc[0], render_term(gc[1].body)))
-    return [cand for _, cand in ranked[:_MAX_CANDIDATES]]
-
-
-def _lgg_pair(
-    left: Term, right: Term
-) -> Optional[tuple[Term, tuple[str, ...], int]]:
-    """``lgg([left, right])``'s body and parameters, and the number of
-    variable occurrences in the body, or None once a pair of ground terms
-    needs more than _MAX_MOTIF_PARAMS parameters.
-
-    Variables are named v0, v1, ... by first occurrence in pre-order, one
-    per distinct pair of disagreeing subterms, as ``lgg`` names them.
-    """
-    # Each pair of disagreeing subterms -> its variable
-    slots: dict[tuple[Term, Term], Var] = {}
-    occurrences = 0
-    done: list[Term] = []  # finished subterms awaiting their parent
-    # Pairs of corresponding subterms in pre-order.  A lone Node marks a
-    # pair whose children are done: it is rebuilt from them, with its label.
-    stack: list = [(left, right)]
-    while stack:
-        pair = stack.pop()
-        if pair.__class__ is not tuple:
-            cut = len(done) - len(pair.children)
-            kids = tuple(done[cut:])
-            del done[cut:]
-            done.append(Node(pair.label, kids))
-            continue
-        x, y = pair
-        if x.label != y.label or len(x.children) != len(y.children):
-            var = slots.get(pair)
-            if var is None:
-                if len(slots) == _MAX_MOTIF_PARAMS:
-                    return None
-                var = slots[pair] = _PAIR_VARS[len(slots)]
-            occurrences += 1
-            done.append(var)
-        # Leaves that agree on their label are equal.
-        elif x is y or x._hash == y._hash and (not x.children or x == y):
-            done.append(x)
-        else:
-            stack.append(x)
-            stack.extend(zip(reversed(x.children), reversed(y.children)))
-    return done[0], tuple(var.name for var in slots.values()), occurrences
+    ranked = sorted(
+        [(ground, render_term(cand.body), cand) for ground, cand in found.values()],
+        key=lambda r: (-r[0], r[1]),
+    )
+    return [(text, cand) for _, text, cand in ranked[:_MAX_CANDIDATES]]

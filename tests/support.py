@@ -1,7 +1,7 @@
-"""Shared test helpers: an independent reference lexer, exhaustive tree
-enumeration, pattern subsumption checks, reference term operations, a
-reference tradeoff compressor, a reference tree edit distance and a reference
-C-fragment encoder."""
+"""Shared test helpers: token stream texts, an independent reference lexer,
+exhaustive tree enumeration, pattern subsumption checks, reference term
+operations, a reference tradeoff compressor, a reference tree edit distance
+and a reference C-fragment encoder."""
 
 from __future__ import annotations
 
@@ -26,6 +26,17 @@ from mdlgauge.term import (
     match_term,
 )
 from mdlgauge.treedist import UNIT_COSTS, CostModel, _children, _label
+
+
+def stream_text(stream) -> str:
+    """Render a token stream back to lexable text (space at every boundary)."""
+    return " ".join(t.text for t in stream.tokens)
+
+
+def token_texts(stream) -> tuple[str, ...]:
+    """The texts of a token stream's tokens, in order."""
+    return tuple(t.text for t in stream.tokens)
+
 
 # A one-regex reference lexer implementing the same cpp-like rules as the
 # production scanner, but via a single alternation and finditer.  Kept

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mdlgauge.lexcount import count_tokens, rename_identifiers, stream_text, tokenize
+from mdlgauge.lexcount import count_tokens, rename_identifiers, tokenize
 from mdlgauge.mdl import Candidate, check_unimodal, rank_candidates
 from mdlgauge.sampling import random_abstraction, random_ground_term, seeded
 from mdlgauge.term import (
@@ -37,7 +37,7 @@ from mdlgauge.tradeoff import (
 )
 from mdlgauge.treedist import ted, ted_oracle
 from mdlgauge.viscosity import estimate_lipschitz
-from support import all_trees, subsumes
+from support import all_trees, stream_text, subsumes
 from test_term import random_pattern
 
 

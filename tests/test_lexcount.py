@@ -17,10 +17,9 @@ from mdlgauge.lexcount import (
     UnterminatedLiteral,
     count_tokens,
     rename_identifiers,
-    stream_text,
     tokenize,
 )
-from support import reference_lex
+from support import reference_lex, stream_text, token_texts
 
 COMPONENT_COUNTS = [
     ("fig2a.cpp", 41),
@@ -41,7 +40,7 @@ def test_empty_text():
 
 def test_compound_assignment_statement():
     stream = tokenize("s += x[i];")
-    assert stream.texts() == ("s", "+=", "x", "[", "i", "]", ";")
+    assert token_texts(stream) == ("s", "+=", "x", "[", "i", "]", ";")
     kinds = [t.kind for t in stream.tokens]
     assert kinds == [
         "identifier", "operator", "identifier", "punctuator",
@@ -65,13 +64,13 @@ def test_compound_assignment_statement():
     ],
 )
 def test_maximal_munch(text, expected):
-    assert list(tokenize(text).texts()) == expected
+    assert list(token_texts(tokenize(text))) == expected
 
 
 def test_reference_lexer_agrees_on_corpus(corpus):
     for path in sorted(corpus.glob("*.cpp")):
         text = path.read_text()
-        assert list(tokenize(text).texts()) == reference_lex(text), path.name
+        assert list(token_texts(tokenize(text))) == reference_lex(text), path.name
 
 
 def test_reference_lexer_agrees_on_snippets():
@@ -91,7 +90,7 @@ def test_reference_lexer_agrees_on_snippets():
         "a\u2028b",
     ]
     for text in snippets:
-        assert list(tokenize(text).texts()) == reference_lex(text), text
+        assert list(token_texts(tokenize(text))) == reference_lex(text), text
 
 
 C_ISH = st.text(
@@ -110,7 +109,7 @@ def test_reference_lexer_agrees_on_random_text(text):
         stream = tokenize(text)
     except LexError:
         return
-    assert list(stream.texts()) == reference_lex(text)
+    assert list(token_texts(stream)) == reference_lex(text)
 
 
 @settings(max_examples=500, deadline=None)
@@ -130,7 +129,7 @@ def test_lex_errors_point_at_the_unterminated_construct(text):
 )
 def test_text_ending_in_comments_or_whitespace(text):
     # Nothing of the trailing comment or whitespace becomes a token.
-    assert list(tokenize(text).texts()) == reference_lex(text) == ["a", "+", "b"]
+    assert list(token_texts(tokenize(text))) == reference_lex(text) == ["a", "+", "b"]
 
 
 def test_block_comment_then_an_unterminated_one():
@@ -175,7 +174,7 @@ def test_comment_and_whitespace_invariance(corpus_text):
     # Re-render with noise at every token boundary.
     noisy = " /* noise */ ".join(t.text for t in base.tokens)
     noisy = "// leading comment\n" + noisy + "\n/* trailing */"
-    assert tokenize(noisy).texts() == base.texts()
+    assert token_texts(tokenize(noisy)) == token_texts(base)
 
 
 def test_tokenize_is_deterministic(corpus_text):
@@ -187,7 +186,7 @@ def test_concatenation(corpus_text):
     t1 = corpus_text("fig2a.cpp")
     t2 = corpus_text("fig2b.cpp")
     joined = tokenize(t1 + "\n" + t2)
-    assert joined.texts() == tokenize(t1).texts() + tokenize(t2).texts()
+    assert token_texts(joined) == token_texts(tokenize(t1)) + token_texts(tokenize(t2))
 
 
 def test_unterminated_block_comment():
@@ -204,7 +203,7 @@ def test_unterminated_string():
 def test_rename_simple():
     stream = tokenize("x[i]")
     renamed = rename_identifiers(stream, {"x": "arr"})
-    assert renamed.texts() == ("arr", "[", "i", "]")
+    assert token_texts(renamed) == ("arr", "[", "i", "]")
     assert count_tokens(renamed) == count_tokens(stream)
 
 
@@ -238,12 +237,12 @@ def test_rename_keeps_count_under_random_renamings(corpus_text):
         renamed = rename_identifiers(stream, dict(zip(idents, targets)))
         assert count_tokens(renamed) == 41
         # and the renamed stream still lexes to itself
-        assert tokenize(stream_text(renamed)).texts() == renamed.texts()
+        assert token_texts(tokenize(stream_text(renamed))) == token_texts(renamed)
 
 
 def test_generic_dialect():
     stream = tokenize("foo_1 <= bar(2)", dialect="generic")
-    assert stream.texts() == ("foo_1", "<", "=", "bar", "(", "2", ")")
+    assert token_texts(stream) == ("foo_1", "<", "=", "bar", "(", "2", ")")
     kinds = {t.text: t.kind for t in stream.tokens}
     assert kinds["foo_1"] == "identifier"
     assert kinds["2"] == "number"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mdlgauge.lexcount import rename_identifiers, stream_text, tokenize
+from mdlgauge.lexcount import rename_identifiers, tokenize
 from mdlgauge.mdl import (
     Candidate,
     EmptyCandidateList,
@@ -16,6 +16,7 @@ from mdlgauge.mdl import (
     report_csv,
     score_candidate,
 )
+from support import stream_text
 
 USES = (UseCase("double"), UseCase("int"), UseCase("float"))
 

@@ -217,7 +217,7 @@ def test_match_soundness_random():
 def test_unify_identical():
     t = parse_term("(+ (* r r) (* (f s) (f s)))")
     got = unify(t, t)
-    assert got is not None and len(got) == 0
+    assert got is not None and got.bindings == {}
     assert render_substitution(got) == "{}"
 
 
@@ -268,7 +268,7 @@ def test_unify_result_is_idempotent():
         )
         got = unify(ancestor, rho.apply(ancestor))
         assert got is not None
-        assert got.is_idempotent()
+        assert all(got.apply(v) == v for v in got.bindings.values())
 
 
 def test_mgu_factoring_from_shared_ancestor():
@@ -537,6 +537,46 @@ def test_lgg_agrees_with_the_reference(terms):
     for got in (lgg(terms), lgg_with_witnesses(terms)[0]):
         assert got.params == want.params
         assert reference_equal(got.body, want.body)
+
+
+@st.composite
+def near_copies(draw):
+    """Two to five ground terms with one root symbol: a random term, then
+    copies of earlier ones with a few proper subterms replaced.  Each
+    replacement comes from a small pool and may cover every copy of a
+    subterm, so disagreements repeat within a term and across terms."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    alphabet = "abcd"[: draw(st.integers(2, 4))]
+    terms = [random_ground_term(rng, draw(st.integers(2, 40)), alphabet)]
+    pool = [random_ground_term(rng, rng.randint(1, 4), alphabet) for _ in range(3)]
+    for _ in range(draw(st.integers(1, 4))):
+        copy = rng.choice(terms)
+        for _ in range(draw(st.integers(0, 6))):
+            subterms = list(iter_subterms(copy))[1:]
+            path, old = rng.choice(subterms)
+            new = rng.choice(pool)
+            # Copies of one subterm never overlap, so each path stays valid.
+            every_copy = draw(st.booleans())
+            for at, sub in subterms:
+                if at == path or every_copy and sub == old:
+                    copy = replace_at(copy, at, new)
+        terms.append(copy)
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_copies())
+def test_lgg_of_near_copies_agrees_with_the_reference(terms):
+    # Each step of lgg's fold keys a slot on an earlier step's variable and
+    # a subterm; independent random terms seldom reach those slots.
+    want = reference_lgg(terms)
+    got = lgg(terms)
+    assert got.params == want.params
+    assert reference_equal(got.body, want.body)
+    a, witnesses = lgg_with_witnesses(terms)
+    assert a == got
+    for t, args in zip(terms, witnesses):
+        assert instantiate(a, args) == t
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,10 +10,11 @@ from mdlgauge.sampling import random_ground_term
 from mdlgauge.term import (
     Abstraction,
     Node,
+    _anti_unify,
     _match_cost,
     iter_subterms,
-    match_term,
     lgg,
+    match_term,
     parse_term,
     render_term,
     replace_at,
@@ -34,7 +35,9 @@ from mdlgauge.tradeoff import (
 from support import (
     _reference_motif_candidates,
     reference_compress,
+    reference_equal,
     reference_greedy_rewrite,
+    reference_lgg,
     skolemize,
 )
 
@@ -248,6 +251,12 @@ def greedy(rewrite, texts, candidates):
     return outcome(run)
 
 
+def greedy_rewrite(run, candidates):
+    """``tradeoff._greedy_rewrite``, given each candidate with its body's
+    rendering, as the candidate generators give it."""
+    tradeoff._greedy_rewrite(run, [(render_term(c.body), c) for c in candidates])
+
+
 REFERENCE_SPECS = [
     DomainSpec(1, 6, 60, 2, 8, 0.4),
     DomainSpec(2, 8, 80, 3, 7, 0.5, alphabet_size=3),
@@ -287,9 +296,10 @@ def test_motif_candidates_equal_the_reference(spec):
     corpus = generate_corpus(spec)
     got = tradeoff._motif_candidates(tradeoff._subterm_counts(corpus))
     want = _reference_motif_candidates(corpus)
-    assert [(a.name, a.params, render_term(a.body)) for a in got] == [
+    assert [(a.name, a.params, text) for text, a in got] == [
         (a.name, a.params, render_term(a.body)) for a in want
     ]
+    assert all(text == render_term(a.body) for text, a in got)
 
 
 @st.composite
@@ -318,13 +328,13 @@ def rooted_pairs(draw):
 @given(rooted_pairs())
 def test_pairwise_walk_is_lgg_up_to_the_parameter_limit(pair):
     left, right = pair
-    expected = lgg([left, right])
-    got = tradeoff._lgg_pair(left, right)
+    expected = reference_lgg([left, right])
+    got = _anti_unify(left, right, tradeoff._MAX_MOTIF_PARAMS)
     if len(expected.params) > tradeoff._MAX_MOTIF_PARAMS:
         assert got is None
         return
     body, params, occurrences = got
-    assert body == expected.body
+    assert reference_equal(body, expected.body)
     assert params == expected.params
     ground_nodes = sum(1 for _, sub in iter_subterms(body) if isinstance(sub, Node))
     assert body.size - occurrences == ground_nodes
@@ -413,14 +423,14 @@ HAND_BUILT = {
 @pytest.mark.parametrize("case", HAND_BUILT, ids=str)
 def test_greedy_rewrite_agrees_with_reference(case):
     texts, candidates = HAND_BUILT[case]
-    got = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    got = greedy(greedy_rewrite, texts, candidates)
     assert got == greedy(reference_greedy_rewrite, texts, candidates)
     assert got[0], "expected at least one accepted entry"
 
 
 def test_rewrite_creates_match_at_ancestor():
     texts, candidates = HAND_BUILT["rewrite-creates-match-at-ancestor"]
-    library, terms, _, _, rewrites = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    library, terms, _, _, rewrites = greedy(greedy_rewrite, texts, candidates)
     assert library == [("$0", (), "(k a b c d e)"), ("$1", ("x",), "(g ?x ?x)")]
     # Four constant sites, then ten motif sites: four of them are new.
     assert rewrites == 14
@@ -429,7 +439,7 @@ def test_rewrite_creates_match_at_ancestor():
 
 def test_variable_child_binds_call_node():
     texts, candidates = HAND_BUILT["variable-child-matches-call"]
-    library, terms, _, _, _ = greedy(tradeoff._greedy_rewrite, texts, candidates)
+    library, terms, _, _, _ = greedy(greedy_rewrite, texts, candidates)
     assert [entry[2] for entry in library] == ["(p q r s t)", "(h ?x (k l m ?y))"]
     assert terms[0] == "($1 $0 n)"
 
