@@ -1,6 +1,8 @@
 """Command-line surface: tokenize, mdl, match, unify, lgg, ted, lipschitz,
 and tradeoff subcommands.  Wherever a term is read, a ``*.cpp`` file is
-encoded as a function by ``mdlgauge.encode``.
+encoded as a function by ``mdlgauge.encode``.  Files are read as UTF-8.
+A call builds only its command's parser, from one table of commands; the
+whole parser serves help, ``--version`` and the errors it reports itself.
 
 Exit status is 0 on success, 1 on a domain failure (a failed match or
 unification under --strict), and 2 on usage or input errors.  Reports are
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .encode import encode_function
-from .lexcount import DIALECTS, count_tokens, tokenize
+from .lexcount import DIALECTS, LexError, count_tokens, tokenize
 from .mdl import Candidate, UseCase, rank_candidates, report_csv
 from .term import (
     lgg,
@@ -65,9 +67,11 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
     source file.  All violations are reported together."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -108,10 +112,12 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
 
     def read_source(rel: str, owner: str) -> str:
         try:
-            return (base / rel).read_text()
+            return (base / rel).read_text(encoding="utf-8")
         except OSError:
             problems.append(f"{owner}: missing or unreadable file {rel!r}")
-            return ""
+        except UnicodeDecodeError as exc:
+            problems.append(f"{owner}: {rel}: not valid UTF-8 at byte offset {exc.start}")
+        return ""
 
     candidates = []
     cand_names = set()
@@ -195,9 +201,11 @@ def _json_kind(value) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
 def _read_term(path: str):
@@ -232,7 +240,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, target)
     except OSError as exc:
@@ -261,7 +269,10 @@ def _resolve_seed(value: Optional[int], fallback: int) -> int:
 def _cmd_tokenize(args) -> int:
     lines = []
     for path in args.files:
-        stream = tokenize(_read_text(path), args.dialect, source_id=path)
+        try:
+            stream = tokenize(_read_text(path), args.dialect, source_id=path)
+        except LexError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         lines.append(f"{path}\t{count_tokens(stream)}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
@@ -342,53 +353,50 @@ def _cmd_tradeoff(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mdlgauge",
-        description="Gauge component generality by description length and "
-        "measure how hard abstractions are to apply.",
-    )
-    parser.add_argument("--version", action="version", version=f"mdlgauge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tokenize", help="count tokens in source files")
+def _tokenize_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--dialect", choices=DIALECTS, default="cpp-like")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tokenize)
 
-    p = sub.add_parser("mdl", help="rank candidate components for a scenario")
+
+def _mdl_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mdl)
 
-    p = sub.add_parser("match", help="match a pattern term against a ground term")
+
+def _match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left", metavar="pattern")
     p.add_argument("right", metavar="target")
     p.add_argument("--strict", action="store_true", help="exit 1 when no match exists")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve, solve=match_term, failure="no match")
 
-    p = sub.add_parser("unify", help="most general unifier of two terms")
+
+def _unify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--strict", action="store_true", help="exit 1 when not unifiable")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve, solve=unify, failure="no unifier")
 
-    p = sub.add_parser("lgg", help="least general generalization of ground terms")
+
+def _lgg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lgg)
 
-    p = sub.add_parser("ted", help="tree edit distance between two terms")
+
+def _ted_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--costs", metavar="i,d,r")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ted)
 
-    p = sub.add_parser("lipschitz", help="sample the Lipschitz behavior of an abstraction")
+
+def _lipschitz_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abstraction", required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
@@ -396,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lipschitz)
 
-    p = sub.add_parser("tradeoff", help="emit compression/inversion tradeoff points")
+
+def _tradeoff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--programs", type=int, default=50)
     p.add_argument("--size", type=int, default=200)
@@ -406,12 +415,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tradeoff)
 
+
+# Each subcommand's help line and the function that declares its arguments.
+_COMMANDS = {
+    "tokenize": ("count tokens in source files", _tokenize_args),
+    "mdl": ("rank candidate components for a scenario", _mdl_args),
+    "match": ("match a pattern term against a ground term", _match_args),
+    "unify": ("most general unifier of two terms", _unify_args),
+    "lgg": ("least general generalization of ground terms", _lgg_args),
+    "ted": ("tree edit distance between two terms", _ted_args),
+    "lipschitz": ("sample the Lipschitz behavior of an abstraction", _lipschitz_args),
+    "tradeoff": ("emit compression/inversion tradeoff points", _tradeoff_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mdlgauge",
+        description="Gauge component generality by description length and "
+        "measure how hard abstractions are to apply.",
+    )
+    parser.add_argument("--version", action="version", version=f"mdlgauge {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, declare) in _COMMANDS.items():
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        # The parser the whole one hands argv[1:] to, under the same prog.
+        parser = argparse.ArgumentParser(prog=f"mdlgauge {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+    if args is None or rest:
+        # Help, --version, an unknown command or an unrecognized argument.
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

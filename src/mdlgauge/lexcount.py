@@ -7,11 +7,11 @@ stripping comments or shortening names.  Two dialects are supported:
 and string literals) and ``generic`` (a crude fallback that groups word
 characters and nothing else).
 
-Each dialect is one master regex, matched once per token: whitespace and
-comments are an unnamed prefix of every match, so none of them costs a
-match of its own.  A ``Token`` is a named tuple, and since a lexeme's kind
-follows from its text, one call makes each distinct lexeme into a Token
-once and repeats it wherever the lexeme recurs.
+Each dialect is one master regex, read by one ``findall``: whitespace and
+comments are an unnamed prefix of every match, whose one group is the
+lexeme.  A lexeme's kind follows from its text, so each distinct lexeme is
+classified once, by a regex of the same alternatives in named groups, into
+one ``Token`` (a named tuple) that is repeated wherever the lexeme recurs.
 """
 
 from __future__ import annotations
@@ -44,41 +44,46 @@ _PUNCTUATORS = frozenset({"(", ")", "[", "]", "{", "}", ",", ";", ".", "#", "::"
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # After the whitespace-and-comment prefix, the first alternative that
-# matches wins, so the order of the named groups is the scanner's
-# precedence; multi-character operators are listed longest first for
-# maximal munch.  The empty ``skip`` alternative matches at the end of the
-# text only: without it, trailing whitespace or a trailing comment would be
-# given back, one character at a time, to ``op``.
-_CPP_RE = re.compile(
-    r"""
-    (?:\s+|//[^\n]*|/\*.*?\*/)*
-    (?:
-      (?P<bad_comment>/\*)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<char>'(?:\\.|[^'\\\n])*')
-    | (?P<bad_literal>["'])
-    | (?P<number>(?:0[xX][0-9a-fA-F]+|0[bB][01]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuU]*)
-    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><<=|>>=|->\*|\.\.\.
-        |::|->|\+\+|--|\+=|-=|\*=|/=|%=|==|!=|<=|>=|&&|\|\||&=|\|=|\^=|<<|>>|\#\#|\.\*
-        |.)
-    | (?P<skip>\Z)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
+# matches wins, so each table's order is the scanner's precedence;
+# multi-character operators are listed longest first for maximal munch.
+# An unterminated comment or literal takes the rest of the text, so no
+# later opener is scanned to the end again.  The empty ``skip`` matches at
+# the end only: without it, trailing whitespace or a trailing comment would
+# be given back, one character at a time, to ``op``.
+_CPP_ALTERNATIVES = (
+    ("bad_comment", r"/\*.*"),
+    ("string", r'"(?:\\.|[^"\\\n])*"'),
+    ("char", r"'(?:\\.|[^'\\\n])*'"),
+    ("bad_literal", r"[\"'].*"),
+    ("number", r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuU]*"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("op", r"<<=|>>=|->\*|\.\.\.|::|->|\+\+|--|\+=|-=|\*=|/=|%=|==|!=|<=|>=|&&|\|\||&=|\|=|\^="
+           r"|<<|>>|\#\#|\.\*|."),
+    ("skip", r"\Z"),
 )
 
 # The generic fallback: runs of word characters, a leading digit making the
 # run a number, and any other non-space character on its own.
-_GENERIC_RE = re.compile(
-    r"\s*(?:(?P<number>[0-9][A-Za-z0-9_]*)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>.)|(?P<skip>\Z))",
-    re.DOTALL,
+_GENERIC_ALTERNATIVES = (
+    ("number", r"[0-9][A-Za-z0-9_]*"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("op", r"."),
+    ("skip", r"\Z"),
 )
 
-# Per dialect: the master regex and the words that lex as keywords.
+
+def _scanner(prefix: str, alternatives, keywords: frozenset):
+    """The master regex, the kind regex and the keywords.  A lexeme lexed
+    alone by the kind regex falls in the alternative it fell in within the
+    text, since nothing follows the alternation in the master regex."""
+    master = re.compile(prefix + "(" + "|".join(p for _, p in alternatives) + ")", re.DOTALL)
+    kinds = re.compile("|".join(f"(?P<{k}>{p})" for k, p in alternatives), re.DOTALL)
+    return master, kinds, keywords
+
+
 _SCANNERS = {
-    "cpp-like": (_CPP_RE, CPP_KEYWORDS),
-    "generic": (_GENERIC_RE, frozenset()),
+    "cpp-like": _scanner(r"(?:\s+|//[^\n]*|/\*.*?\*/)*", _CPP_ALTERNATIVES, CPP_KEYWORDS),
+    "generic": _scanner(r"\s*", _GENERIC_ALTERNATIVES, frozenset()),
 }
 
 _LITERAL_KINDS = {"string": "string-literal", "char": "char-literal", "number": "number"}
@@ -145,31 +150,25 @@ def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> Token
     """
     if dialect not in _SCANNERS:
         raise ValueError(f"unsupported dialect: {dialect!r}")
-    master, keywords = _SCANNERS[dialect]
-    toks = []
-    # A lexeme's kind follows from its text alone, and tokens are
-    # immutable, so each distinct lexeme is made into a Token once.
+    master, kinds, keywords = _SCANNERS[dialect]
+    lexemes = master.findall(text)
+    # ``skip`` leaves one or two empty lexemes at the end, and no others.
+    while lexemes and not lexemes[-1]:
+        lexemes.pop()
     made: dict[str, Token] = {}
-    for m in master.finditer(text):
-        group = m.lastgroup
-        lexeme = m.group(group)
-        tok = made.get(lexeme)
-        if tok is None:
-            if group == "word":
-                tok = Token("keyword" if lexeme in keywords else "identifier", lexeme)
-            elif group == "op":
-                tok = Token("punctuator" if lexeme in _PUNCTUATORS else "operator", lexeme)
-            elif group == "skip":
-                break  # only the end of the text is left
-            elif group == "bad_comment":
-                raise UnterminatedComment("unterminated block comment", text, m.start(group))
-            elif group == "bad_literal":
-                raise UnterminatedLiteral("unterminated literal", text, m.start(group))
-            else:
-                tok = Token(_LITERAL_KINDS[group], lexeme)
-            made[lexeme] = tok
-        toks.append(tok)
-    return TokenStream(tuple(toks), source_id=source_id, dialect=dialect)
+    for lexeme in set(lexemes):
+        group = kinds.match(lexeme).lastgroup
+        if group == "word":
+            made[lexeme] = Token("keyword" if lexeme in keywords else "identifier", lexeme)
+        elif group == "op":
+            made[lexeme] = Token("punctuator" if lexeme in _PUNCTUATORS else "operator", lexeme)
+        elif group == "bad_comment":
+            raise UnterminatedComment("unterminated block comment", text, len(text) - len(lexeme))
+        elif group == "bad_literal":
+            raise UnterminatedLiteral("unterminated literal", text, len(text) - len(lexeme))
+        else:
+            made[lexeme] = Token(_LITERAL_KINDS[group], lexeme)
+    return TokenStream(tuple(map(made.__getitem__, lexemes)), source_id=source_id, dialect=dialect)
 
 
 def count_tokens(stream: TokenStream) -> int:

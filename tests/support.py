@@ -1,7 +1,7 @@
-"""Shared test helpers: token stream texts, an independent reference lexer,
-exhaustive tree enumeration, pattern subsumption checks, reference term
-operations, a reference tradeoff compressor, a reference tree edit distance
-and a reference C-fragment encoder."""
+"""Shared test helpers: token stream texts, an independent reference lexer
+and token classifier, exhaustive tree enumeration, pattern subsumption
+checks, reference term operations, a reference tradeoff compressor, a
+reference tree edit distance and a reference C-fragment encoder."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 
 from mdlgauge import tradeoff
 from mdlgauge.encode import EncodeError
-from mdlgauge.lexcount import Token, tokenize
+from mdlgauge.lexcount import CPP_KEYWORDS, Token, tokenize
 from mdlgauge.term import (
     _VAR_NAME_RE,
     Abstraction,
@@ -64,6 +64,27 @@ def reference_lex(text: str) -> list[str]:
             continue
         out.append(tok)
     return out
+
+
+_REFERENCE_PUNCTUATORS = {"(", ")", "[", "]", "{", "}", ",", ";", ".", "#", "::", "..."}
+
+
+def reference_kind(text: str, dialect: str) -> str:
+    """The kind of a token from its text alone, by the lexing rules: a
+    literal by its first character, a word by the keyword list (cpp-like
+    only), and any other text by the list of punctuators."""
+    if dialect == "cpp-like":
+        if text[0] == '"':
+            return "string-literal"
+        if text[0] == "'":
+            return "char-literal"
+        if text[0].isdecimal() or (text[0] == "." and text[1:2].isdecimal()):
+            return "number"
+    elif text[0] in "0123456789":
+        return "number"
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+        return "keyword" if dialect == "cpp-like" and text in CPP_KEYWORDS else "identifier"
+    return "punctuator" if text in _REFERENCE_PUNCTUATORS else "operator"
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:

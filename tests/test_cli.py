@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mdlgauge
-from mdlgauge.cli import ManifestInvalid, load_manifest, main
+from mdlgauge.cli import ManifestInvalid, build_parser, load_manifest, main
 from mdlgauge.term import parse_term
 
 
@@ -471,3 +471,125 @@ def test_module_entry_point(corpus):
     )
     assert proc.returncode == 0
     assert proc.stdout == "fig2b.cpp\t46\n"
+
+
+def test_tokenize_names_the_file_that_fails_to_lex(capsys, corpus, tmp_path):
+    bad = tmp_path / "bad.cpp"
+    bad.write_text("int x; /* open")
+    code, out, err = run_cli(capsys, "tokenize", str(corpus / "fig2b.cpp"), str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"mdlgauge: {bad}: unterminated block comment at byte offset 7\n"
+
+
+def test_input_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.cpp"
+    bad.write_bytes("int café;".encode("latin-1"))
+    code, out, err = run_cli(capsys, "tokenize", str(bad))
+    assert (code, out, err) == (2, "", f"mdlgauge: {bad}: not valid UTF-8 at byte offset 7\n")
+
+
+def test_manifest_source_that_is_not_utf8_is_reported(tmp_path):
+    (tmp_path / "a.cpp").write_text("int a;")
+    (tmp_path / "b.cpp").write_bytes(b"int b; // \xff\n")
+    (tmp_path / "scenario.json").write_text(
+        json.dumps(
+            {
+                "use_cases": [{"name": "u"}],
+                "candidates": [
+                    {"name": "x", "chain_index": 0, "component": "a.cpp",
+                     "adaptations": {"u": "b.cpp"}}
+                ],
+            }
+        )
+    )
+    with pytest.raises(ManifestInvalid) as err:
+        load_manifest(tmp_path / "scenario.json")
+    assert err.value.problems == [
+        "candidate 'x' / 'u': b.cpp: not valid UTF-8 at byte offset 10"
+    ]
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # In the POSIX locale, with neither locale coercion nor UTF-8 mode, the
+    # locale's encoding is ASCII.
+    (tmp_path / "u.cpp").write_text("int café;\n", encoding="utf-8")
+    package_root = str(Path(mdlgauge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-X", f"utf8={mode}", "-m", "mdlgauge", "tokenize", "u.cpp"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for mode in (0, 1)
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, "u.cpp\t4\n", "")] * 2
+
+
+def _outcome(capsys, run, argv):
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def _whole_parser_main(argv):
+    """``main`` as it reads with the whole parser on every call."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"mdlgauge: {exc}", file=sys.stderr)
+        return 2
+
+
+ROUTE_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["--version"],
+    ["--ver"],
+    ["frobnicate"],
+    ["frobnicate", "fig2a.cpp"],
+    ["--version", "tokenize", "fig2a.cpp"],
+    ["tokenize"],
+    ["tokenize", "-h"],
+    ["tokenize", "--h"],
+    ["tokenize", "fig2a.cpp", "--frob"],
+    ["tokenize", "fig2a.cpp", "--version"],
+    ["tokenize", "--dialect", "klingon", "fig2a.cpp"],
+    ["tokenize", "--dia", "generic", "fig2a.cpp", "fig2b.cpp"],
+    ["tokenize", "--", "fig2a.cpp"],
+    ["--", "tokenize", "fig2a.cpp"],
+    ["mdl"],
+    ["match", "hypot_pattern.term"],
+    ["unify", "hypot_y.term", "hypot_y.term", "--strict", "extra"],
+    ["ted", "hypot_y.term", "hypot_y_prime.term", "--costs"],
+    ["ted", "hypot_y.term", "hypot_y_prime.term", "--costs", "1,1"],
+    ["lipschitz"],
+    ["lipschitz", "--abstraction", "hypot.abs", "--samples", "many"],
+    ["lipschitz", "--abstraction", "hypot.abs", "--samples", "3", "--se", "0"],
+    ["tradeoff", "--se", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_command_parser_reports_as_the_whole_parser(capsys, monkeypatch, corpus, argv):
+    # main builds only the named command's parser; its status, output and
+    # argparse messages must be those of the whole parser.
+    monkeypatch.chdir(corpus)
+    got = _outcome(capsys, main, argv)
+    assert got == _outcome(capsys, _whole_parser_main, argv)
+
+
+def test_a_command_call_builds_only_its_own_parser(capsys, monkeypatch, corpus):
+    def whole_parser():
+        raise AssertionError("the whole parser was built")
+
+    monkeypatch.setattr(mdlgauge.cli, "build_parser", whole_parser)
+    code, out, err = run_cli(capsys, "tokenize", str(corpus / "fig2b.cpp"))
+    assert (code, out, err) == (0, f"{corpus / 'fig2b.cpp'}\t46\n", "")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdlgauge.lexcount import (
+    CPP_KEYWORDS,
     CollisionWithKeyword,
     LexError,
     NonInjectiveMapping,
@@ -19,7 +20,7 @@ from mdlgauge.lexcount import (
     rename_identifiers,
     tokenize,
 )
-from support import reference_lex, stream_text, token_texts
+from support import reference_kind, reference_lex, stream_text, token_texts
 
 COMPONENT_COUNTS = [
     ("fig2a.cpp", 41),
@@ -110,6 +111,24 @@ def test_reference_lexer_agrees_on_random_text(text):
     except LexError:
         return
     assert list(token_texts(stream)) == reference_lex(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # C_ISH spells no keyword, so keywords are mixed in, whole or run into
+    # a neighbouring word.
+    st.lists(st.one_of(C_ISH, st.sampled_from(sorted(CPP_KEYWORDS))), max_size=4).map("".join),
+    st.sampled_from(["cpp-like", "generic"]),
+)
+def test_token_kinds_follow_from_their_texts(text, dialect):
+    # Each distinct lexeme is classified once, on its own; its kind must be
+    # the one the lexing rules give it wherever it occurs.
+    try:
+        stream = tokenize(text, dialect)
+    except LexError:
+        return
+    for tok in stream:
+        assert tok.kind == reference_kind(tok.text, dialect), (tok, text)
 
 
 @settings(max_examples=500, deadline=None)
