@@ -1,8 +1,9 @@
 """Command-line surface: tokenize, mdl, match, unify, lgg, ted, lipschitz,
 and tradeoff subcommands.  Wherever a term is read, a ``*.cpp`` file is
 encoded as a function by ``mdlgauge.encode``.  Files are read as UTF-8.
-A call builds only its command's parser, from one table of commands; the
-whole parser serves help, ``--version`` and the errors it reports itself.
+Each call parses once, with a parser built from one table of commands for
+the named command alone, or for every command when none is named first.
+Reports are written as UTF-8, to stdout as to ``--out``.
 
 Exit status is 0 on success, 1 on a domain failure (a failed match or
 unification under --strict), and 2 on usage or input errors.  Reports are
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .encode import encode_function
-from .lexcount import DIALECTS, LexError, count_tokens, tokenize
+from .lexcount import DIALECTS, count_tokens, tokenize
 from .mdl import Candidate, UseCase, rank_candidates, report_csv
 from .term import (
     lgg,
@@ -199,23 +200,25 @@ def _json_kind(value) -> str:
     return "an object"
 
 
-def _read_text(path: str) -> str:
+def _parse_file(path: str, parse):
+    """``parse`` applied to the file's text, read as UTF-8; an error in
+    reading or parsing it names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+    try:
+        return parse(text)
+    except ValueError as exc:  # TermSyntaxError, EncodeError or LexError
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _read_term(path: str):
     """The term in a term file, or the encoding of a ``*.cpp`` function."""
-    text = _read_text(path)
     # Both readers run from an explicit stack, so no nesting is too deep.
-    try:
-        return encode_function(text) if path.endswith(".cpp") else parse_term(text)
-    except ValueError as exc:  # TermSyntaxError, EncodeError or LexError
-        raise InputError(f"{path}: {exc}") from exc
+    return _parse_file(path, encode_function if path.endswith(".cpp") else parse_term)
 
 
 def _parse_costs(spec: Optional[str]) -> CostModel:
@@ -232,9 +235,14 @@ def _parse_costs(spec: Optional[str]) -> CostModel:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or atomically to ``out`` (write-then-rename)."""
+    """Write UTF-8 to stdout, or atomically to ``out`` (write-then-rename)."""
     if out is None:
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # an in-memory text sink
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
         return
     target = Path(out)
     tmp = None
@@ -269,11 +277,8 @@ def _resolve_seed(value: Optional[int], fallback: int) -> int:
 def _cmd_tokenize(args) -> int:
     lines = []
     for path in args.files:
-        try:
-            stream = tokenize(_read_text(path), args.dialect, source_id=path)
-        except LexError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        lines.append(f"{path}\t{count_tokens(stream)}")
+        tokens = _parse_file(path, lambda text: tokenize(text, args.dialect))
+        lines.append(f"{path}\t{count_tokens(tokens)}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
@@ -312,10 +317,7 @@ def _cmd_ted(args) -> int:
 
 
 def _cmd_lipschitz(args) -> int:
-    try:
-        abstraction = parse_abstraction(_read_text(args.abstraction))
-    except ValueError as exc:  # TermSyntaxError is a ValueError
-        raise InputError(f"{args.abstraction}: {exc}") from exc
+    abstraction = _parse_file(args.abstraction, parse_abstraction)
     seed = _resolve_seed(args.seed, 0)
     costs = _parse_costs(args.costs)
     estimate = estimate_lipschitz(abstraction, args.samples, seed, costs)
@@ -356,13 +358,11 @@ def _cmd_tradeoff(args) -> int:
 def _tokenize_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--dialect", choices=DIALECTS, default="cpp-like")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_tokenize)
 
 
 def _mdl_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_mdl)
 
 
@@ -370,7 +370,6 @@ def _match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left", metavar="pattern")
     p.add_argument("right", metavar="target")
     p.add_argument("--strict", action="store_true", help="exit 1 when no match exists")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_solve, solve=match_term, failure="no match")
 
 
@@ -378,13 +377,11 @@ def _unify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--strict", action="store_true", help="exit 1 when not unifiable")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_solve, solve=unify, failure="no unifier")
 
 
 def _lgg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_lgg)
 
 
@@ -392,7 +389,6 @@ def _ted_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--costs", metavar="i,d,r")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_ted)
 
 
@@ -401,7 +397,6 @@ def _lipschitz_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--costs", metavar="i,d,r")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_lipschitz)
 
 
@@ -412,11 +407,11 @@ def _tradeoff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--motifs", type=int, default=3)
     p.add_argument("--motif-size", type=int, default=12)
     p.add_argument("--rate", type=float, default=0.4)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tradeoff)
 
 
-# Each subcommand's help line and the function that declares its arguments.
+# Each subcommand's help line and the function that declares its arguments
+# other than --out, which build_parser adds to every subcommand.
 _COMMANDS = {
     "tokenize": ("count tokens in source files", _tokenize_args),
     "mdl": ("rank candidate components for a scenario", _mdl_args),
@@ -429,30 +424,29 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdlgauge",
         description="Gauge component generality by description length and "
         "measure how hard abstractions are to apply.",
     )
     parser.add_argument("--version", action="version", version=f"mdlgauge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, declare) in _COMMANDS.items():
-        declare(sub.add_parser(name, help=help_text))
+    # A one-command parser's usage line still lists every command.  The
+    # whole parser's errors name "argument command", so it sets no metavar.
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, declare = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        declare(command)
+        command.add_argument("--out")  # last in every command's usage line
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = rest = None
-    if argv and argv[0] in _COMMANDS:
-        # The parser the whole one hands argv[1:] to, under the same prog.
-        parser = argparse.ArgumentParser(prog=f"mdlgauge {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-    if args is None or rest:
-        # Help, --version, an unknown command or an unrecognized argument.
-        args = build_parser().parse_args(argv)
+    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = build_parser(names).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

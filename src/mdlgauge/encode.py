@@ -16,7 +16,7 @@ memory, not by the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 from .lexcount import Token, tokenize
 from .term import Node, Term
@@ -71,17 +71,18 @@ class _Cursor:
 
 def encode_expression(text: str) -> Term:
     """Encode a single C-family expression as a term."""
-    cur = _Cursor(tokenize(text).tokens)
-    term = _run(_expression(cur))
-    if not cur.done():
-        raise EncodeError(f"trailing input at token {cur.peek()!r}")
-    return term
+    return _encode(text, _expression)
 
 
 def encode_function(text: str) -> Term:
     """Encode a function definition, optionally under a template header."""
-    cur = _Cursor(tokenize(text).tokens)
-    term = _run(_function(cur))
+    return _encode(text, _function)
+
+
+def _encode(text: str, step: Callable[[_Cursor], _Step]) -> Term:
+    """The term that ``step`` parses from all of ``text``'s tokens."""
+    cur = _Cursor(tokenize(text))
+    term = _run(step(cur))
     if not cur.done():
         raise EncodeError(f"trailing input at token {cur.peek()!r}")
     return term

@@ -12,13 +12,14 @@ comments are an unnamed prefix of every match, whose one group is the
 lexeme.  A lexeme's kind follows from its text, so each distinct lexeme is
 classified once, by a regex of the same alternatives in named groups, into
 one ``Token`` (a named tuple) that is repeated wherever the lexeme recurs.
+``tokenize`` returns a plain tuple of them, which carries no dialect, so
+``rename_identifiers`` is told the dialect whose keywords it must avoid.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 DIALECTS = ("cpp-like", "generic")
 
@@ -129,28 +130,20 @@ class Token(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[Token, ...]
-    source_id: str = ""
-    dialect: str = "cpp-like"
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
+def _scanner_for(dialect: str):
+    """The dialect's master regex, kind regex and keywords."""
+    if dialect not in _SCANNERS:
+        raise ValueError(f"unsupported dialect: {dialect!r}")
+    return _SCANNERS[dialect]
 
 
-def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> TokenStream:
-    """Lex ``text`` into a TokenStream, discarding comments and whitespace.
+def tokenize(text: str, dialect: str = "cpp-like") -> tuple[Token, ...]:
+    """Lex ``text`` into its tokens, discarding comments and whitespace.
 
     Raises UnterminatedComment / UnterminatedLiteral on malformed input and
     ValueError on an unknown dialect.
     """
-    if dialect not in _SCANNERS:
-        raise ValueError(f"unsupported dialect: {dialect!r}")
-    master, kinds, keywords = _SCANNERS[dialect]
+    master, kinds, keywords = _scanner_for(dialect)
     lexemes = master.findall(text)
     # ``skip`` leaves one or two empty lexemes at the end, and no others.
     while lexemes and not lexemes[-1]:
@@ -168,37 +161,38 @@ def tokenize(text: str, dialect: str = "cpp-like", source_id: str = "") -> Token
             raise UnterminatedLiteral("unterminated literal", text, len(text) - len(lexeme))
         else:
             made[lexeme] = Token(_LITERAL_KINDS[group], lexeme)
-    return TokenStream(tuple(map(made.__getitem__, lexemes)), source_id=source_id, dialect=dialect)
+    return tuple(map(made.__getitem__, lexemes))
 
 
-def count_tokens(stream: TokenStream) -> int:
-    return len(stream.tokens)
+def count_tokens(tokens: tuple[Token, ...]) -> int:
+    return len(tokens)
 
 
-def rename_identifiers(stream: TokenStream, mapping: Mapping[str, str]) -> TokenStream:
+def rename_identifiers(
+    tokens: tuple[Token, ...], mapping: Mapping[str, str], dialect: str = "cpp-like"
+) -> tuple[Token, ...]:
     """Rewrite identifier tokens per ``mapping``; every other token and the
     token count are untouched.
 
     The mapping must stay injective on the identifiers actually present and
-    may not introduce a keyword of the stream's dialect.
+    may not introduce a keyword of ``dialect``, the dialect ``tokens`` were
+    lexed in.  Raises ValueError on an unknown dialect.
     """
-    keywords = CPP_KEYWORDS if stream.dialect == "cpp-like" else frozenset()
+    keywords = _scanner_for(dialect)[2]
     for target in mapping.values():
         if not _IDENT_RE.fullmatch(target):
             raise InvalidIdentifier(f"rename target {target!r} is not an identifier")
         if target in keywords:
             raise CollisionWithKeyword(f"rename target {target!r} is a keyword")
 
-    present = {t.text for t in stream.tokens if t.kind == "identifier"}
+    present = {t.text for t in tokens if t.kind == "identifier"}
     effective = {name: mapping.get(name, name) for name in present}
     if len(set(effective.values())) != len(present):
         raise NonInjectiveMapping(
             "renaming merges identifiers: " + ", ".join(sorted(present))
         )
 
-    renamed = tuple(
+    return tuple(
         Token("identifier", effective[t.text]) if t.kind == "identifier" else t
-        for t in stream.tokens
+        for t in tokens
     )
-    return TokenStream(renamed, source_id=stream.source_id, dialect=stream.dialect)
-

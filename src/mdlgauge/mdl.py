@@ -84,7 +84,7 @@ def score_candidate(
 ) -> MdlScore:
     """Token cost of the component plus all adaptation code for ``uses``."""
     component = count_tokens(tokenize(c.component_source, dialect))
-    adaptation = count_tokens(tokenize(c.shared_source, dialect)) if c.shared_source else 0
+    adaptation = count_tokens(tokenize(c.shared_source, dialect))
     for use in uses:
         source = c.adaptations.get(use.name)
         if source is None:

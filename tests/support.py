@@ -1,4 +1,4 @@
-"""Shared test helpers: token stream texts, an independent reference lexer
+"""Shared test helpers: token texts, an independent reference lexer
 and token classifier, exhaustive tree enumeration, pattern subsumption
 checks, reference term operations, a reference tradeoff compressor, a
 reference tree edit distance and a reference C-fragment encoder."""
@@ -28,14 +28,14 @@ from mdlgauge.term import (
 from mdlgauge.treedist import UNIT_COSTS, CostModel, _children, _label
 
 
-def stream_text(stream) -> str:
-    """Render a token stream back to lexable text (space at every boundary)."""
-    return " ".join(t.text for t in stream.tokens)
+def stream_text(tokens) -> str:
+    """Render tokens back to lexable text (space at every boundary)."""
+    return " ".join(t.text for t in tokens)
 
 
-def token_texts(stream) -> tuple[str, ...]:
-    """The texts of a token stream's tokens, in order."""
-    return tuple(t.text for t in stream.tokens)
+def token_texts(tokens) -> tuple[str, ...]:
+    """The texts of the tokens, in order."""
+    return tuple(t.text for t in tokens)
 
 
 # A one-regex reference lexer implementing the same cpp-like rules as the
@@ -624,7 +624,7 @@ class _ReferenceCursor:
 
 def reference_encode_expression(text: str) -> Term:
     """Encode a single C-family expression as a term."""
-    cur = _ReferenceCursor(tokenize(text).tokens)
+    cur = _ReferenceCursor(tokenize(text))
     term = _reference_expression(cur)
     if not cur.done():
         raise EncodeError(f"trailing input at token {cur.peek()!r}")
@@ -633,7 +633,7 @@ def reference_encode_expression(text: str) -> Term:
 
 def reference_encode_function(text: str) -> Term:
     """Encode a function definition, optionally under a template header."""
-    cur = _ReferenceCursor(tokenize(text).tokens)
+    cur = _ReferenceCursor(tokenize(text))
     term = _reference_function(cur)
     if not cur.done():
         raise EncodeError(f"trailing input at token {cur.peek()!r}")

@@ -1,7 +1,9 @@
 """The mdlgauge command: subcommand behavior, exit codes, output formats."""
 
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -528,6 +530,30 @@ def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, "u.cpp\t4\n", "")] * 2
 
 
+def test_stdout_is_utf8_whatever_the_locale(corpus, tmp_path):
+    # In the POSIX locale, with neither locale coercion nor UTF-8 mode,
+    # stdout's own encoding is ASCII; the report still goes out as the same
+    # UTF-8 bytes that --out writes.
+    shutil.copytree(corpus, tmp_path / "corpus")
+    scenario = tmp_path / "corpus" / "scenario.json"
+    manifest = json.loads(scenario.read_text())
+    for candidate in manifest["candidates"]:
+        if candidate["name"] == "b":
+            candidate["name"] = "café"
+    scenario.write_text(json.dumps(manifest))
+    package_root = str(Path(mdlgauge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"}
+    argv = [sys.executable, "-X", "utf8=0", "-m", "mdlgauge", "mdl", "corpus/scenario.json"]
+    shown, written = (
+        subprocess.run(argv + extra, cwd=tmp_path, capture_output=True, env=env)
+        for extra in ([], ["--out", "o.csv"])
+    )
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert shown.stdout == (tmp_path / "o.csv").read_bytes()
+    assert b"\ncaf\xc3\xa9,1," in shown.stdout
+
+
 def _outcome(capsys, run, argv):
     try:
         status = run(argv)
@@ -574,6 +600,11 @@ ROUTE_CASES = [
     ["lipschitz", "--abstraction", "hypot.abs", "--samples", "many"],
     ["lipschitz", "--abstraction", "hypot.abs", "--samples", "3", "--se", "0"],
     ["tradeoff", "--se", "x"],
+    ["tradeoff", "--help"],
+    ["match", "--help"],
+    ["mdl", "scenario.json", "extra", "--out"],
+    ["lgg"],
+    ["ted", "-x"],
 ]
 
 
@@ -586,10 +617,61 @@ def test_one_command_parser_reports_as_the_whole_parser(capsys, monkeypatch, cor
     assert got == _outcome(capsys, _whole_parser_main, argv)
 
 
-def test_a_command_call_builds_only_its_own_parser(capsys, monkeypatch, corpus):
-    def whole_parser():
-        raise AssertionError("the whole parser was built")
+COMMANDS = ("tokenize", "mdl", "match", "unify", "lgg", "ted", "lipschitz", "tradeoff")
+WHOLE_USAGE = (
+    "usage: mdlgauge [-h] [--version]\n"
+    "                {tokenize,mdl,match,unify,lgg,ted,lipschitz,tradeoff} ...\n"
+)
 
-    monkeypatch.setattr(mdlgauge.cli, "build_parser", whole_parser)
+
+def _argparse_passes_double_dash_to_subparsers() -> bool:
+    """Whether a "--" before a subcommand reaches the subparsers as the
+    command's name; newer argparse releases strip it first."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_subparsers(dest="command").add_parser("x")
+    try:
+        probe.parse_args(["--", "x"])
+    except argparse.ArgumentError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from {})"),
+        (["--", "tokenize", "fig2a.cpp"], "argument command: invalid choice: '--' (choose from {})"),
+    ],
+    ids=["(none)", "frobnicate", "--"],
+)
+def test_the_whole_parser_names_the_command_argument(capsys, monkeypatch, corpus, argv, message):
+    monkeypatch.chdir(corpus)
+    monkeypatch.setenv("COLUMNS", "80")
+    if argv[0:1] == ["--"] and not _argparse_passes_double_dash_to_subparsers():
+        assert _outcome(capsys, main, argv) == (0, "fig2a.cpp\t41\n", "")
+        return
+    # Newer argparse releases print the choices unquoted.
+    expected = {
+        WHOLE_USAGE + "mdlgauge: error: " + message.format(choices) + "\n"
+        for choices in (", ".join(map(repr, COMMANDS)), ", ".join(COMMANDS))
+    }
+    status, out, err = _outcome(capsys, main, argv)
+    assert (status, out) == (2, "")
+    assert err in expected
+
+
+def test_a_command_call_builds_only_its_own_parser(capsys, monkeypatch, corpus):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_parser(*args)
+
+    monkeypatch.setattr(mdlgauge.cli, "build_parser", spy)
     code, out, err = run_cli(capsys, "tokenize", str(corpus / "fig2b.cpp"))
     assert (code, out, err) == (0, f"{corpus / 'fig2b.cpp'}\t46\n", "")
+    assert calls == [(("tokenize",),)]
+    calls.clear()
+    assert _outcome(capsys, main, ["--version"])[0] == 0
+    assert calls == [(COMMANDS,)]

@@ -223,7 +223,7 @@ FUNCTIONS = st.builds(
 
 def _edit(text, k, edit, token):
     """``text`` with one token edit at token position ``k``, modulo its length."""
-    tokens = [t.text for t in tokenize(text).tokens]
+    tokens = [t.text for t in tokenize(text)]
     k %= len(tokens) + 1
     if edit == "drop":
         del tokens[k:k + 1]

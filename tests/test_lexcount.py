@@ -42,7 +42,7 @@ def test_empty_text():
 def test_compound_assignment_statement():
     stream = tokenize("s += x[i];")
     assert token_texts(stream) == ("s", "+=", "x", "[", "i", "]", ";")
-    kinds = [t.kind for t in stream.tokens]
+    kinds = [t.kind for t in stream]
     assert kinds == [
         "identifier", "operator", "identifier", "punctuator",
         "identifier", "punctuator", "punctuator",
@@ -174,10 +174,18 @@ def test_corpus_token_sequences_are_pinned(corpus):
     # scanner that skipped whitespace and comments as tokens of their own.
     pinned = json.loads((Path(__file__).parent / "golden" / "corpus-tokens.json").read_text())
     got = {
-        path.name: [[t.kind, t.text] for t in tokenize(path.read_text()).tokens]
+        path.name: [[t.kind, t.text] for t in tokenize(path.read_text())]
         for path in sorted(corpus.glob("*.cpp"))
     }
     assert got == pinned
+
+
+def test_tokenize_returns_a_tuple_of_tokens():
+    tokens = tokenize("s += 1;")
+    assert type(tokens) is tuple
+    assert all(type(t) is Token for t in tokens)
+    assert tokens == (("identifier", "s"), ("operator", "+="), ("number", "1"), ("punctuator", ";"))
+    assert tokenize("// nothing but a comment") == ()
 
 
 def test_tokens_are_named_tuples():
@@ -191,7 +199,7 @@ def test_tokens_are_named_tuples():
 def test_comment_and_whitespace_invariance(corpus_text):
     base = tokenize(corpus_text("fig2a.cpp"))
     # Re-render with noise at every token boundary.
-    noisy = " /* noise */ ".join(t.text for t in base.tokens)
+    noisy = " /* noise */ ".join(t.text for t in base)
     noisy = "// leading comment\n" + noisy + "\n/* trailing */"
     assert token_texts(tokenize(noisy)) == token_texts(base)
 
@@ -237,6 +245,19 @@ def test_rename_rejects_keyword_target():
         rename_identifiers(stream, {"x": "double"})
 
 
+def test_rename_takes_the_keywords_of_its_dialect():
+    tokens = tokenize("x + y", dialect="generic")
+    renamed = rename_identifiers(tokens, {"x": "double"}, dialect="generic")
+    assert token_texts(renamed) == ("double", "+", "y")
+    with pytest.raises(CollisionWithKeyword):
+        rename_identifiers(tokens, {"x": "double"}, dialect="cpp-like")
+
+
+def test_rename_rejects_an_unknown_dialect():
+    with pytest.raises(ValueError, match="^unsupported dialect: 'fortran'$"):
+        rename_identifiers(tokenize("x"), {}, dialect="fortran")
+
+
 def test_rename_rejects_merging():
     stream = tokenize("x + y")
     with pytest.raises(NonInjectiveMapping):
@@ -248,7 +269,7 @@ def test_rename_rejects_merging():
 
 def test_rename_keeps_count_under_random_renamings(corpus_text):
     stream = tokenize(corpus_text("fig2a.cpp"))
-    idents = sorted({t.text for t in stream.tokens if t.kind == "identifier"})
+    idents = sorted({t.text for t in stream if t.kind == "identifier"})
     rng = random.Random("rename-fig2a")
     for trial in range(100):
         targets = [f"id{trial}_{k}" for k in range(len(idents))]
@@ -262,11 +283,11 @@ def test_rename_keeps_count_under_random_renamings(corpus_text):
 def test_generic_dialect():
     stream = tokenize("foo_1 <= bar(2)", dialect="generic")
     assert token_texts(stream) == ("foo_1", "<", "=", "bar", "(", "2", ")")
-    kinds = {t.text: t.kind for t in stream.tokens}
+    kinds = {t.text: t.kind for t in stream}
     assert kinds["foo_1"] == "identifier"
     assert kinds["2"] == "number"
 
 
 def test_unknown_dialect():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unsupported dialect: 'fortran'$"):
         tokenize("x", dialect="fortran")
