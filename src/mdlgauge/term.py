@@ -9,10 +9,14 @@ given instances, it finds the least general term covering all of them.  It
 is one pairwise walk, and the lgg of n terms is its left fold (Plotkin, "A
 note on inductive generalization", Machine Intelligence 5, 1970).
 
-Terms are immutable.  A ``Node`` works out its ``size`` (node count,
-metavariable leaves included), whether it is ``ground`` and its hash once,
-from its children's, when it is built; so ``term_size``, ``is_ground`` and
-hashing cost O(1), and equality compares hashes before it walks.  There is
+Terms are immutable, and both kinds share one tree interface: a
+``label``, a tuple of ``children``, a ``size`` (node count, metavariable
+leaves included) and whether the term is ``ground``.  A ``Var`` is a leaf
+labelled with its name after the '?' it renders with; so walks that only
+read labels and children, such as rendering and edit distance, need no case
+for it.  A ``Node`` works out its size, groundness and hash once, from its
+children's, when it is built; so ``term_size``, ``ground`` and hashing cost
+O(1), and equality compares hashes before it walks.  There is
 no intern table: equal terms built apart are distinct objects.  Every walk
 over a term is a loop with its own stack, so terms of any depth parse,
 render, match, unify and generalize without reaching the interpreter's
@@ -33,14 +37,17 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
 class Var:
-    """Metavariable leaf, rendered with a '?' prefix."""
+    """Metavariable leaf; its ``label`` is its name with the '?' prefix it
+    renders with."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "label", "_hash")
+    children = ()
     size = 1
     ground = False
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "label", "?" + name)
         object.__setattr__(self, "_hash", hash(("?", name)))
 
     def __setattr__(self, attr, value):
@@ -108,26 +115,24 @@ class Node(_NodeFields):
         if other.__class__ is not Node:
             return NotImplemented
         # Pairs of sibling tuples still to compare; leaves are compared
-        # where they are met, and never wait on the stack.
+        # where they are met, and never wait on the stack.  The class test
+        # keeps Node("?x") apart from Var("x"), which has the same label.
         stack = [((self,), (other,))]
         while stack:
             xs, ys = stack.pop()
             for x, y in zip(xs, ys):
                 if x is y:
                     continue
-                if x._hash != y._hash:
+                xk, yk = x.children, y.children
+                if (
+                    x._hash != y._hash
+                    or x.__class__ is not y.__class__
+                    or x.label != y.label
+                    or len(xk) != len(yk)
+                ):
                     return False
-                if x.__class__ is Node:
-                    if y.__class__ is not Node or x.label != y.label:
-                        return False
-                    if x.children:
-                        if len(x.children) != len(y.children):
-                            return False
-                        stack.append((x.children, y.children))
-                    elif y.children:
-                        return False
-                elif x.__class__ is not y.__class__ or x.name != y.name:
-                    return False
+                if xk:
+                    stack.append((xk, yk))
         return True
 
     def __repr__(self) -> str:
@@ -168,25 +173,19 @@ def term_variables(t: Term) -> set[str]:
     return out
 
 
-def is_ground(t: Term) -> bool:
-    return t.ground
-
-
 def iter_subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
     """Pre-order traversal yielding (path, subterm) pairs."""
     stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
     while stack:
         path, cur = stack.pop()
         yield path, cur
-        if isinstance(cur, Node):
-            for i in range(len(cur.children) - 1, -1, -1):
-                stack.append((path + (i,), cur.children[i]))
+        for i in range(len(cur.children) - 1, -1, -1):
+            stack.append((path + (i,), cur.children[i]))
 
 
 def subterm_at(t: Term, path: Sequence[int]) -> Term:
+    """The subterm at ``path``; IndexError if the path leaves the term."""
     for i in path:
-        if isinstance(t, Var):
-            raise IndexError("path descends below a leaf")
         t = t.children[i]
     return t
 
@@ -194,8 +193,6 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
 def replace_at(t: Term, path: Sequence[int], replacement: Term) -> Term:
     spine = []
     for i in path:
-        if isinstance(t, Var):
-            raise IndexError("path descends below a leaf")
         spine.append((t, i))
         t = t.children[i]
     for node, i in reversed(spine):
@@ -289,8 +286,6 @@ def render_term(t: Term) -> str:
         cur = stack.pop()
         if cur.__class__ is str:
             parts.append(cur)
-        elif cur.__class__ is Var:
-            parts.append("?" + cur.name)
         elif cur.children:
             parts.append("(" + cur.label)
             stack.append(")")
@@ -440,15 +435,12 @@ def _match_cost(pattern: Term, target: Term) -> tuple[Optional[dict[str, Term]],
 
 
 def _equal_cost(a: Term, b: Term) -> tuple[bool, int]:
+    """Equality of two ground terms, with the number of node pairs walked."""
     cost = 0
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         cost += 1
-        if isinstance(x, Var) or isinstance(y, Var):
-            if x != y:
-                return False, cost
-            continue
         if x.label != y.label or len(x.children) != len(y.children):
             return False, cost
         stack.extend(zip(x.children, y.children))
@@ -460,13 +452,12 @@ def _equal_cost(a: Term, b: Term) -> tuple[bool, int]:
 
 
 class _UfClass:
-    __slots__ = ("parent", "rank", "schema", "canon")
+    __slots__ = ("parent", "rank", "term")
 
-    def __init__(self, schema: Optional[Node], canon: Optional[str]):
+    def __init__(self, term: Term):
         self.parent: Optional[_UfClass] = None
         self.rank = 0
-        self.schema = schema  # a non-variable member, if the class has one
-        self.canon = canon  # representative variable name for pure-var classes
+        self.term = term  # a Node member if the class has one, else its Var
 
 
 def unify(t1: Term, t2: Term) -> Optional[Substitution]:
@@ -476,18 +467,12 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
     and the occurs check happens once at extraction time as a cycle check,
     which keeps the closure pass near-linear.
     """
-    var_classes: dict[str, _UfClass] = {}
-    node_classes: dict[Term, _UfClass] = {}
+    classes: dict[Term, _UfClass] = {}
 
     def class_of(t: Term) -> _UfClass:
-        if isinstance(t, Var):
-            cls = var_classes.get(t.name)
-            if cls is None:
-                cls = var_classes[t.name] = _UfClass(None, t.name)
-            return cls
-        cls = node_classes.get(t)
+        cls = classes.get(t)
         if cls is None:
-            cls = node_classes[t] = _UfClass(t, None)
+            cls = classes[t] = _UfClass(t)
         return cls
 
     def find(cls: _UfClass) -> _UfClass:
@@ -501,16 +486,14 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
         return root
 
     def union(ra: _UfClass, rb: _UfClass) -> None:
-        schema = ra.schema if ra.schema is not None else rb.schema
-        # For pure-variable merges the right-hand class names the survivor.
-        canon = None if schema is not None else rb.canon
+        # Of two variables, the right-hand one names the merged class.
+        term = ra.term if ra.term.__class__ is Node else rb.term
         if ra.rank < rb.rank:
             ra, rb = rb, ra
         rb.parent = ra
         if ra.rank == rb.rank:
             ra.rank += 1
-        ra.schema = schema
-        ra.canon = canon
+        ra.term = term
 
     work = [(class_of(t1), class_of(t2))]
     while work:
@@ -518,8 +501,8 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
         ra, rb = find(a), find(b)
         if ra is rb:
             continue
-        sa, sb = ra.schema, rb.schema
-        if sa is not None and sb is not None:
+        sa, sb = ra.term, rb.term
+        if sa.__class__ is Node and sb.__class__ is Node:
             if sa.label != sb.label or len(sa.children) != len(sb.children):
                 return None
             union(ra, rb)
@@ -540,29 +523,31 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
         stack: list[tuple[_UfClass, bool]] = [(find(cls), False)]
         while stack:
             root, expanded = stack.pop()
-            schema = root.schema
+            term = root.term
             if expanded:
                 visiting.discard(root)
-                kids = tuple(resolved[find(class_of(c))] for c in schema.children)
-                resolved[root] = Node(schema.label, kids)
+                kids = tuple(resolved[find(class_of(c))] for c in term.children)
+                resolved[root] = Node(term.label, kids)
             elif root in resolved:
                 continue
             elif root in visiting:
                 return None  # a class reachable from itself: occurs violation
-            elif schema is None:
-                resolved[root] = Var(root.canon or "_")
+            elif not term.children:  # a variable or a leaf stands for itself
+                resolved[root] = term
             else:
                 visiting.add(root)
                 stack.append((root, True))
-                stack.extend([(find(class_of(c)), False) for c in reversed(schema.children)])
+                stack.extend([(find(class_of(c)), False) for c in reversed(term.children)])
         return resolved[find(cls)]
 
     bindings: dict[str, Term] = {}
-    for name in sorted(var_classes):
-        value = build(var_classes[name])
+    # build adds classes for subterms no union reached, so list them first.
+    variables = sorted((t.name, t) for t in classes if t.__class__ is Var)
+    for name, var in variables:
+        value = build(classes[var])
         if value is None:
             return None
-        if value != Var(name):
+        if value != var:
             bindings[name] = value
     return Substitution(bindings)
 

@@ -414,12 +414,11 @@ class _CandidateTrie:
             skip = at.get(None)
             if skip is not None:
                 stack.append((skip, rest))
-            if isinstance(t, Node):
-                child = at.get((t.label, len(t.children)))
-                if child is not None:
-                    for c in reversed(t.children):
-                        rest = (c, rest)
-                    stack.append((child, rest))
+            child = at.get((t.label, len(t.children)))
+            if child is not None:
+                for c in reversed(t.children):
+                    rest = (c, rest)
+                stack.append((child, rest))
         return found
 
 
@@ -499,7 +498,7 @@ def _region(
             stack = [(path, node)]
             while stack:
                 at, sub = stack.pop()
-                if sub.__class__ is Node and sub.size >= floor:
+                if sub.size >= floor:
                     region[at] = sub
                     for i in range(len(sub.children) - 1, -1, -1):
                         stack.append((at + (i,), sub.children[i]))

@@ -11,8 +11,8 @@ float sums would, bit for bit, and cost less to add; other costs are summed
 as floats.  A distance too large for a float raises ValueError.
 ``ted_oracle`` recomputes the same minimum by brute memoized
 recursion over forests and exists purely to cross-check ``ted`` on small
-inputs.  Metavariables are treated as ordinary labels, so both work on
-patterns too.
+inputs.  Both read only the terms' ``label`` and ``children``; a
+metavariable is a leaf labelled ``?name``, so both work on patterns too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .term import Term, Var
+from .term import Term
 
 
 class SizeLimitExceeded(ValueError):
@@ -52,14 +52,6 @@ class CostModel:
 UNIT_COSTS = CostModel()
 
 
-def _label(t: Term) -> str:
-    return "?" + t.name if isinstance(t, Var) else t.label
-
-
-def _children(t: Term) -> tuple[Term, ...]:
-    return () if isinstance(t, Var) else t.children
-
-
 def _postorder(root: Term, mirrored: bool, ids: dict[str, int]) -> tuple[list[int], list[int]]:
     """Label ids and leftmost-leaf indices of ``root``'s nodes in post-order,
     children taken right to left when ``mirrored``.  ``ids`` numbers the
@@ -69,7 +61,7 @@ def _postorder(root: Term, mirrored: bool, ids: dict[str, int]) -> tuple[list[in
     stack: list[tuple[Term, int]] = [(root, -1)]
     while stack:
         t, first = stack.pop()
-        kids = _children(t)
+        kids = t.children
         if first < 0 and kids:
             # Every node of t's subtree is numbered after this point, and
             # the first of them is its leftmost leaf.
@@ -77,7 +69,7 @@ def _postorder(root: Term, mirrored: bool, ids: dict[str, int]) -> tuple[list[in
             stack.extend([(kid, -1) for kid in (kids if mirrored else reversed(kids))])
         else:
             lmld.append(len(labels) if first < 0 else first)
-            labels.append(ids.setdefault(_label(t), len(ids)))
+            labels.append(ids.setdefault(t.label, len(ids)))
     return labels, lmld
 
 
@@ -226,18 +218,18 @@ def ted_oracle(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
             return cached
         if not f1:
             w = f2[-1]
-            value = dist((), f2[:-1] + _children(w)) + ins
+            value = dist((), f2[:-1] + w.children) + ins
         elif not f2:
             v = f1[-1]
-            value = dist(f1[:-1] + _children(v), ()) + dele
+            value = dist(f1[:-1] + v.children, ()) + dele
         else:
             v, w = f1[-1], f2[-1]
             value = min(
-                dist(f1[:-1] + _children(v), f2) + dele,
-                dist(f1, f2[:-1] + _children(w)) + ins,
-                dist(_children(v), _children(w))
+                dist(f1[:-1] + v.children, f2) + dele,
+                dist(f1, f2[:-1] + w.children) + ins,
+                dist(v.children, w.children)
                 + dist(f1[:-1], f2[:-1])
-                + costs.relabel(_label(v), _label(w)),
+                + costs.relabel(v.label, w.label),
             )
         memo[key] = value
         return value

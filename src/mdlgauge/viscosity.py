@@ -18,7 +18,6 @@ from .term import (
     Node,
     Term,
     instantiate,
-    is_ground,
     iter_subterms,
     replace_at,
     subterm_at,
@@ -47,7 +46,7 @@ _WRAP_POOL = ("f", "g", "h", "+", "*")
 def perturb(t: Term, seed: int) -> Term:
     """Apply one small seeded edit (relabel, insert, or delete) to a ground
     term; the result always differs from the input."""
-    if not is_ground(t):
+    if not t.ground:
         raise ValueError("perturb expects a ground term")
     rng = seeded("perturb", seed)
     nodes = list(iter_subterms(t))

@@ -25,7 +25,7 @@ from mdlgauge.term import (
     iter_subterms,
     match_term,
 )
-from mdlgauge.treedist import UNIT_COSTS, CostModel, _children, _label
+from mdlgauge.treedist import UNIT_COSTS, CostModel
 
 
 def stream_text(tokens) -> str:
@@ -520,6 +520,12 @@ def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:
 # the inner loop.  The production ted must agree with it exactly.
 
 
+def _reference_label(t: Term) -> str:
+    """A node's label for edit distance: a metavariable is a leaf named by
+    its rendered text, ?name."""
+    return "?" + t.name if isinstance(t, Var) else t.label
+
+
 def _reference_annotate(root: Term) -> tuple[list[str], list[int], list[int]]:
     """Postorder labels, leftmost-leaf-descendant indices, and keyroots."""
     labels: list[str] = []
@@ -527,13 +533,13 @@ def _reference_annotate(root: Term) -> tuple[list[str], list[int], list[int]]:
 
     def walk(t: Term) -> tuple[int, int]:
         first_leaf = -1
-        for child in _children(t):
+        for child in () if isinstance(t, Var) else t.children:
             _, leaf = walk(child)
             if first_leaf < 0:
                 first_leaf = leaf
         index = len(labels)
         leaf = index if first_leaf < 0 else first_leaf
-        labels.append(_label(t))
+        labels.append(_reference_label(t))
         lmld.append(leaf)
         return index, leaf
 

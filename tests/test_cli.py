@@ -1,6 +1,8 @@
 """The mdlgauge command: subcommand behavior, exit codes, output formats."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -106,6 +108,18 @@ def one_candidate(**fields):
         (one_candidate(inapplicable="u"), "candidate 'x': inapplicable must be a list, not a string"),
         (one_candidate(inapplicable=[["u"]]),
          "candidate 'x': inapplicable entry must be a string, not a list"),
+        ({**one_candidate(), "tokenizer_dialect": "fortran"},
+         "unknown tokenizer_dialect 'fortran'"),
+        ({**one_candidate(), "use_cases": [{"name": "u"}, {}]}, "use case without a name"),
+        ({**one_candidate(), "use_cases": [{"name": "u"}, {"name": "u"}]},
+         "duplicate use case 'u'"),
+        ({"candidates": [{"chain_index": 0}]}, "candidate without a name"),
+        ({"candidates": [{"name": "x", "chain_index": 0}, {"name": "x", "chain_index": 1}]},
+         "duplicate candidate 'x'"),
+        (one_candidate(chain_index=-1),
+         "candidate 'x': chain_index must be a nonnegative integer"),
+        (one_candidate(inapplicable=["v"]),
+         "candidate 'x': inapplicable lists unknown use case 'v'"),
     ],
 )
 def test_manifest_shape_error_is_an_input_error(capsys, tmp_path, manifest, problem):
@@ -117,6 +131,22 @@ def test_manifest_shape_error_is_an_input_error(capsys, tmp_path, manifest, prob
     code, out, stderr = run_cli(capsys, "mdl", str(path))
     assert (code, out) == (2, "")
     assert problem in stderr
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"use_cases": "caf\xe9"}', "{path}: not valid UTF-8 at byte offset 18"),
+        (b'{"use_cases": [}',
+         "manifest {path} is not valid JSON: Expecting value: line 1 column 16"),
+    ],
+)
+def test_unreadable_manifest_is_an_input_error(capsys, tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "mdl", str(path))
+    assert (code, out) == (2, "")
+    assert message.format(path=path) in err
 
 
 def test_deeply_nested_manifest_is_an_input_error(capsys, tmp_path):
@@ -316,6 +346,17 @@ def test_seed_env_override(capsys, corpus, monkeypatch):
     )
     assert with_env == explicit
     assert ",5" in with_env.splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lipschitz", "--abstraction", "hypot.abs", "--samples", "5"), ("tradeoff",)],
+)
+def test_a_seed_variable_that_is_not_an_integer_is_exit_2(capsys, corpus, monkeypatch, argv):
+    monkeypatch.chdir(corpus)
+    monkeypatch.setenv("MDLGAUGE_SEED", "seven")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "mdlgauge: MDLGAUGE_SEED must be an integer, got 'seven'\n")
 
 
 def test_tradeoff_csv(capsys, tmp_path):
@@ -552,6 +593,19 @@ def test_stdout_is_utf8_whatever_the_locale(corpus, tmp_path):
     assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
     assert shown.stdout == (tmp_path / "o.csv").read_bytes()
     assert b"\ncaf\xc3\xa9,1," in shown.stdout
+
+
+def test_a_text_sink_gets_the_text_of_the_byte_stream(capsysbinary, tmp_path):
+    # A stream with no ``buffer``, such as an io.StringIO, takes text; the
+    # same report reaches a real stdout as UTF-8 bytes.
+    source = tmp_path / "café.cpp"
+    source.write_text("int café;\n", encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(["tokenize", str(source)]) == 0
+    assert sink.getvalue() == f"{source}\t4\n"
+    assert main(["tokenize", str(source)]) == 0
+    assert capsysbinary.readouterr() == (sink.getvalue().encode("utf-8"), b"")
 
 
 def _outcome(capsys, run, argv):

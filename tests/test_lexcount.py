@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mdlgauge.lexcount import (
     CPP_KEYWORDS,
     CollisionWithKeyword,
+    InvalidIdentifier,
     LexError,
     NonInjectiveMapping,
     Token,
@@ -243,6 +244,11 @@ def test_rename_rejects_keyword_target():
     stream = tokenize("x + y")
     with pytest.raises(CollisionWithKeyword):
         rename_identifiers(stream, {"x": "double"})
+
+
+def test_rename_rejects_a_target_that_is_not_an_identifier():
+    with pytest.raises(InvalidIdentifier, match="^rename target '1x' is not an identifier$"):
+        rename_identifiers(tokenize("x + y"), {"x": "1x"})
 
 
 def test_rename_takes_the_keywords_of_its_dialect():

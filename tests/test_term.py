@@ -13,8 +13,8 @@ from mdlgauge.term import (
     Substitution,
     TermSyntaxError,
     Var,
+    _match_cost,
     instantiate,
-    is_ground,
     iter_subterms,
     lgg,
     lgg_with_witnesses,
@@ -191,7 +191,12 @@ def test_match_bare_var():
 
 
 def test_match_inconsistent_repeat():
-    assert match_term(parse_term("(* ?a ?a)"), parse_term("(* r s)")) is None
+    pattern = parse_term("(* ?a ?a)")
+    assert match_term(pattern, parse_term("(* r s)")) is None
+    # A clash costs the root's comparison plus the node pairs the equality
+    # walk visits up to the first mismatch.
+    assert _match_cost(pattern, parse_term("(* r s)")) == (None, 2)
+    assert _match_cost(pattern, parse_term("(* (g x y) (g x z))")) == (None, 3)
 
 
 def test_match_requires_ground_target():
@@ -421,7 +426,7 @@ def test_unify_returns_a_most_general_unifier(data):
 @given(PATTERN_TERMS)
 def test_cached_fields_agree_with_the_references(t):
     assert t.size == term_size(t) == reference_term_size(t)
-    assert t.ground == is_ground(t) == reference_is_ground(t)
+    assert t.ground == reference_is_ground(t)
     assert hash(t) == reference_hash(t)
 
 
@@ -440,6 +445,49 @@ def test_equal_terms_built_apart_hash_equally(t):
     copy = reference_parse_term(reference_render_term(t))
     assert copy is not t
     assert copy == t and hash(copy) == hash(t)
+
+
+# Pairs of unequal terms, built fresh for each test, that differ at exactly
+# one pair of corresponding subterms.
+HASH_TWINS = {
+    "labels": lambda: (
+        Node("f", (Node("a"), Node("b"))),
+        Node("f", (Node("a"), Node("c"))),
+    ),
+    "arities": lambda: (
+        Node("f", (Node("g", (Node("a"),)),)),
+        Node("f", (Node("g", (Node("a"), Node("a"))),)),
+    ),
+    "leaf-against-inner-node": lambda: (
+        Node("f", (Node("a"), Node("b"))),
+        Node("f", (Node("a"), Node("b", (Node("c"),)))),
+    ),
+    "var-against-node": lambda: (
+        Node("f", (Var("x"),)),
+        Node("f", (Node("?x"),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HASH_TWINS))
+def test_equality_never_trusts_the_hash_alone(case):
+    left, right = HASH_TWINS[case]()
+    # Every pair of corresponding subterms gets the same hash, so only the
+    # class, label or arity test can tell the two terms apart.
+    pairs = [(left, right)]
+    while pairs:
+        x, y = pairs.pop()
+        object.__setattr__(y, "_hash", x._hash)
+        pairs.extend(zip(x.children, y.children))
+    assert left != right and right != left
+    assert not reference_equal(left, right)
+
+
+def test_a_var_never_equals_the_node_with_its_label():
+    x, node = Var("x"), Node("?x")
+    object.__setattr__(node, "_hash", x._hash)
+    assert x.label == node.label == "?x" and x.children == node.children == ()
+    assert x != node and node != x
 
 
 def test_terms_are_immutable():
@@ -513,6 +561,15 @@ def test_replace_at_agrees_with_the_reference(data):
     assert reference_equal(
         replace_at(t, path, replacement), reference_replace_at(t, path, replacement)
     )
+
+
+@pytest.mark.parametrize("text, path", [("(f ?x)", (0, 0)), ("(f a)", (0, 0)), ("?x", (0,))])
+def test_a_path_below_a_leaf_is_an_index_error(text, path):
+    t = parse_term(text)
+    with pytest.raises(IndexError):
+        subterm_at(t, path)
+    with pytest.raises(IndexError):
+        replace_at(t, path, Node("b"))
 
 
 @settings(max_examples=150, deadline=None)
