@@ -136,7 +136,8 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
         cand_names.add(name)
         owner = f"candidate {name!r}"
         chain_index = entry.get("chain_index")
-        if not isinstance(chain_index, int) or chain_index < 0:
+        # JSON's true and false load as bools, which are ints to isinstance.
+        if type(chain_index) is not int or chain_index < 0:
             problems.append(f"{owner}: chain_index must be a nonnegative integer")
             chain_index = -1
         elif chain_index in chain_indices:

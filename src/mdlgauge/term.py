@@ -9,16 +9,18 @@ given instances, it finds the least general term covering all of them.  It
 is one pairwise walk, and the lgg of n terms is its left fold (Plotkin, "A
 note on inductive generalization", Machine Intelligence 5, 1970).
 
-Terms are immutable, and both kinds share one tree interface: a
+Terms are immutable.  Both kinds, ``Var`` and ``Node``, derive from one
+base, ``Term``, which holds their fields, refuses every write to them, and
+gives them one hash and one structural equality.  The fields are a
 ``label``, a tuple of ``children``, a ``size`` (node count, metavariable
 leaves included) and whether the term is ``ground``.  A ``Var`` is a leaf
-labelled with its name after the '?' it renders with; so walks that only
-read labels and children, such as rendering and edit distance, need no case
-for it.  A ``Node`` works out its size, groundness and hash once, from its
-children's, when it is built; so ``term_size``, ``ground`` and hashing cost
-O(1), and equality compares hashes before it walks.  There is
-no intern table: equal terms built apart are distinct objects.  Every walk
-over a term is a loop with its own stack, so terms of any depth parse,
+labelled with the '?' it renders with, followed by its ``name``; so walks
+that only read labels and children, such as rendering and edit distance,
+need no case for it.  A ``Node`` works out its size, groundness and hash
+once, from its children's, when it is built; so ``term_size``, ``ground``
+and hashing cost O(1), and equality compares hashes before it walks.  There
+is no intern table: equal terms built apart are distinct objects.  Every
+walk over a term is a loop with its own stack, so terms of any depth parse,
 render, match, unify and generalize without reaching the interpreter's
 recursion limit.
 
@@ -36,83 +38,32 @@ from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
-class Var:
-    """Metavariable leaf; its ``label`` is its name with the '?' prefix it
-    renders with."""
-
-    __slots__ = ("name", "label", "_hash")
-    children = ()
-    size = 1
-    ground = False
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "label", "?" + name)
-        object.__setattr__(self, "_hash", hash(("?", name)))
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"Var is immutable; cannot set {attr!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __repr__(self) -> str:
-        return f"Var({self.name!r})"
-
-
-class _NodeFields:
-    """A Node's storage, writable while the node is being built."""
+class _TermFields:
+    """A term's storage, writable while the term is being built."""
 
     __slots__ = ("label", "children", "size", "ground", "_hash")
 
 
-class Node(_NodeFields):
-    """Labeled node with an ordered (possibly empty) tuple of children.
+class Term(_TermFields):
+    """What both kinds of term share: their fields, which no one may set,
+    their hash, kept from construction, and structural equality.
 
-    ``size`` and ``ground`` are computed from the children when the node is
-    built, and so is the hash, from the label and the children's hashes.
+    Each constructor stores the fields while the object is a plain
+    _TermFields, and only then makes it a Var or a Node, whose
+    __setattr__ refuses every write: five object.__setattr__ calls would
+    cost as much again as the rest of a Node's constructor.
     """
 
     __slots__ = ()
 
-    def __new__(cls, label: str, children: tuple[Term, ...] = ()):
-        children = tuple(children)
-        # One plain loop: this constructor runs for every node every
-        # operation builds, and generator expressions cost more here.
-        size = 1
-        ground = True
-        key = [label]
-        for c in children:
-            size += c.size
-            if not c.ground:
-                ground = False
-            key.append(c._hash)
-        # The fields are stored while the object is a plain _NodeFields,
-        # and only then does it become a Node, whose __setattr__ refuses
-        # every write: five object.__setattr__ calls would cost as much
-        # again as the rest of the constructor.
-        self = object.__new__(_NodeFields)
-        self.label = label
-        self.children = children
-        self.size = size
-        self.ground = ground
-        self._hash = hash(tuple(key))
-        self.__class__ = cls
-        return self
-
     def __setattr__(self, attr, value):
-        raise AttributeError(f"Node is immutable; cannot set {attr!r}")
+        raise AttributeError(f"{self.__class__.__name__} is immutable; cannot set {attr!r}")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other):
-        if other.__class__ is not Node:
+        if not isinstance(other, Term):
             return NotImplemented
         # Pairs of sibling tuples still to compare; leaves are compared
         # where they are met, and never wait on the stack.  The class test
@@ -135,11 +86,64 @@ class Node(_NodeFields):
                     stack.append((xk, yk))
         return True
 
+
+class Var(Term):
+    """Metavariable leaf; its ``label`` is its name with the '?' prefix it
+    renders with."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        self = object.__new__(_TermFields)
+        self.label = "?" + name
+        self.children = ()
+        self.size = 1
+        self.ground = False
+        self._hash = hash(("?", name))
+        self.__class__ = cls
+        return self
+
+    @property
+    def name(self) -> str:
+        return self.label[1:]
+
+    def __repr__(self) -> str:
+        return f"Var({self.name!r})"
+
+
+class Node(Term):
+    """Labeled node with an ordered (possibly empty) tuple of children.
+
+    ``size`` and ``ground`` are computed from the children when the node is
+    built, and so is the hash, from the label and the children's hashes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, children: tuple[Term, ...] = ()):
+        children = tuple(children)
+        # One plain loop: this constructor runs for every node every
+        # operation builds, and generator expressions cost more here.
+        size = 1
+        ground = True
+        key = [label]
+        for c in children:
+            size += c.size
+            if not c.ground:
+                ground = False
+            key.append(c._hash)
+        self = object.__new__(_TermFields)
+        self.label = label
+        self.children = children
+        self.size = size
+        self.ground = ground
+        self._hash = hash(tuple(key))
+        self.__class__ = cls
+        return self
+
     def __repr__(self) -> str:
         return f"<Node {render_term(self)}>"
 
-
-Term = Union[Var, Node]
 
 _VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -409,8 +413,10 @@ def match_term(pattern: Term, target: Term) -> Optional[Substitution]:
 def _match_cost(pattern: Term, target: Term) -> tuple[Optional[dict[str, Term]], int]:
     """Matching with a node-comparison count (the inversion-cost measure).
 
-    Each structural label comparison costs 1; re-checking a repeated
-    variable costs the number of node pairs visited by the equality walk.
+    Each non-variable pattern node costs 1, for its label comparison.  A
+    repeated variable whose binding equals the subterm across from it costs
+    that subterm's size, the node pairs an equality walk over the two
+    visits; one whose binding differs ends the match at no further cost.
     """
     bindings: dict[str, Term] = {}
     cost = 0
@@ -418,33 +424,20 @@ def _match_cost(pattern: Term, target: Term) -> tuple[Optional[dict[str, Term]],
     while stack:
         p, t = stack.pop()
         if isinstance(p, Var):
-            bound = bindings.get(p.name)
+            name = p.name
+            bound = bindings.get(name)
             if bound is None:
-                bindings[p.name] = t
+                bindings[name] = t
+            elif bound == t:
+                cost += t.size
             else:
-                eq, walked = _equal_cost(bound, t)
-                cost += walked
-                if not eq:
-                    return None, cost
+                return None, cost
             continue
         cost += 1
         if isinstance(t, Var) or p.label != t.label or len(p.children) != len(t.children):
             return None, cost
         stack.extend(zip(p.children, t.children))
     return bindings, cost
-
-
-def _equal_cost(a: Term, b: Term) -> tuple[bool, int]:
-    """Equality of two ground terms, with the number of node pairs walked."""
-    cost = 0
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        cost += 1
-        if x.label != y.label or len(x.children) != len(y.children):
-            return False, cost
-        stack.extend(zip(x.children, y.children))
-    return True, cost
 
 
 # ---------------------------------------------------------------------------

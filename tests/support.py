@@ -21,9 +21,7 @@ from mdlgauge.term import (
     Term,
     TermSyntaxError,
     Var,
-    _match_cost,
     iter_subterms,
-    match_term,
 )
 from mdlgauge.treedist import UNIT_COSTS, CostModel
 
@@ -135,12 +133,12 @@ def skolemize(t: Term) -> Term:
 
 def subsumes(general: Term, specific: Term) -> bool:
     """Whether some substitution carries ``general`` onto ``specific``."""
-    return match_term(general, skolemize(specific)) is not None
+    return reference_match_cost(general, skolemize(specific)) is not None
 
 
 # ---------------------------------------------------------------------------
 # Reference term operations.  The plain recursive definitions: each one
-# measures, compares or hashes a term by walking all of it, where the
+# measures, compares, hashes or matches a term by walking it, where the
 # production terms keep their size, groundness and hash from construction
 # and every production walk is a loop.  The production operations must
 # agree with them on every term small enough to recurse over.
@@ -166,6 +164,35 @@ def reference_equal(a: Term, b: Term) -> bool:
         and len(a.children) == len(b.children)
         and all(map(reference_equal, a.children, b.children))
     )
+
+
+def reference_match_cost(
+    pattern: Term, target: Term
+) -> Optional[tuple[dict[str, Term], int]]:
+    """The bindings that carry ``pattern`` onto the ground ``target``, with
+    the inversion cost of finding them, or None on a clash.  Each
+    non-variable pattern node costs 1, and a repeated variable whose
+    binding equals the subterm across from it costs that subterm's size."""
+    bindings: dict[str, Term] = {}
+
+    def cost(p: Term, t: Term) -> Optional[int]:
+        if isinstance(p, Var):
+            if p.name not in bindings:
+                bindings[p.name] = t
+                return 0
+            return reference_term_size(t) if reference_equal(bindings[p.name], t) else None
+        if isinstance(t, Var) or p.label != t.label or len(p.children) != len(t.children):
+            return None
+        total = 1
+        for pc, tc in zip(p.children, t.children):
+            c = cost(pc, tc)
+            if c is None:
+                return None
+            total += c
+        return total
+
+    total = cost(pattern, target)
+    return None if total is None else (bindings, total)
 
 
 def reference_hash(t: Term) -> int:
@@ -450,8 +477,9 @@ def _reference_find_sites(index, candidate: Abstraction) -> list[tuple]:
         return []
     hits = []
     for ti, path, node in index.get(root.label, ()):
-        bindings, cost = _match_cost(root, node)
-        if bindings is not None:
+        found = reference_match_cost(root, node)
+        if found is not None:
+            bindings, cost = found
             args = tuple(bindings[p] for p in candidate.params)
             hits.append((ti, path, reference_term_size(node), args, cost))
     hits.sort(key=lambda h: (h[0], len(h[1]), h[1]))

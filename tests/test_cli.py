@@ -120,6 +120,11 @@ def one_candidate(**fields):
          "candidate 'x': chain_index must be a nonnegative integer"),
         (one_candidate(inapplicable=["v"]),
          "candidate 'x': inapplicable lists unknown use case 'v'"),
+        # JSON's true and false are not integers, though Python's bools are.
+        (one_candidate(chain_index=True),
+         "candidate 'x': chain_index must be a nonnegative integer"),
+        (one_candidate(chain_index=False),
+         "candidate 'x': chain_index must be a nonnegative integer"),
     ],
 )
 def test_manifest_shape_error_is_an_input_error(capsys, tmp_path, manifest, problem):

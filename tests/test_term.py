@@ -38,6 +38,7 @@ from support import (
     reference_hash,
     reference_is_ground,
     reference_lgg,
+    reference_match_cost,
     reference_parse_term,
     reference_render_term,
     reference_replace_at,
@@ -103,6 +104,8 @@ def test_render_basics():
     assert render_term(Var("a")) == "?a"
     assert render_term(Node("f", (Var("x"),))) == "(f ?x)"
     assert render_term(Node("leaf")) == "leaf"
+    assert repr(Var("x")) == "Var('x')"
+    assert repr(parse_term("(f a)")) == "<Node (f a)>"
 
 
 def test_roundtrip_random_terms():
@@ -193,10 +196,10 @@ def test_match_bare_var():
 def test_match_inconsistent_repeat():
     pattern = parse_term("(* ?a ?a)")
     assert match_term(pattern, parse_term("(* r s)")) is None
-    # A clash costs the root's comparison plus the node pairs the equality
-    # walk visits up to the first mismatch.
-    assert _match_cost(pattern, parse_term("(* r s)")) == (None, 2)
-    assert _match_cost(pattern, parse_term("(* (g x y) (g x z))")) == (None, 3)
+    # A clash costs the root's comparison, and the failed check of the
+    # repeated variable nothing.
+    assert _match_cost(pattern, parse_term("(* r s)")) == (None, 1)
+    assert _match_cost(pattern, parse_term("(* (g x y) (g x z))")) == (None, 1)
 
 
 def test_match_requires_ground_target():
@@ -213,6 +216,39 @@ def test_match_soundness_random():
         got = match_term(pattern, target)
         assert got is not None
         assert got.apply(pattern) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_match_cost_agrees_with_the_reference(data):
+    pattern = data.draw(PATTERN_TERMS, label="pattern")
+    args = {x: data.draw(GROUND_TERMS, label=f"?{x}") for x in sorted(term_variables(pattern))}
+    instance = Substitution(args).apply(pattern)
+
+    def fill(t):
+        """``t`` with a fresh ground term at each variable occurrence, so a
+        repeated variable mostly clashes."""
+        if isinstance(t, Var):
+            return data.draw(GROUND_TERMS, label=f"an occurrence of ?{t.name}")
+        return Node(t.label, tuple(fill(c) for c in t.children))
+
+    targets = [
+        # A repeated variable's subterms are one object.
+        instance,
+        # parse_term shares equal leaves; equal inner nodes are built apart.
+        parse_term(render_term(instance)),
+        # Every subterm is built apart.
+        reference_parse_term(render_term(instance)),
+        fill(pattern),
+        data.draw(GROUND_TERMS, label="target"),
+    ]
+    for target in targets:
+        expected = reference_match_cost(pattern, target)
+        bindings, cost = _match_cost(pattern, target)
+        if expected is None:
+            assert bindings is None
+        else:
+            assert (bindings, cost) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +502,7 @@ HASH_TWINS = {
         Node("f", (Var("x"),)),
         Node("f", (Node("?x"),)),
     ),
+    "var-against-var": lambda: (Var("x"), Var("y")),
 }
 
 
@@ -497,6 +534,11 @@ def test_terms_are_immutable():
             setattr(t, attr, None)
     with pytest.raises(AttributeError):
         t.children[0].name = "y"
+    x = Var("x")
+    for attr in ("label", "children", "size", "ground", "name"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, None)
+    assert (x.label, x.children, x.size, x.ground, x.name) == ("?x", (), 1, False, "x")
 
 
 @settings(max_examples=150, deadline=None)

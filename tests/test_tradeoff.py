@@ -85,11 +85,19 @@ def test_generation_is_deterministic():
     assert first == second
 
 
+# Instances would cover all of its programs, so the generator must stop
+# planting before one overflows its program.
+CROWDED = DomainSpec(1, 2, 20, 1, 12, 1.0)
+
+
 def test_program_sizes_are_exact():
-    spec = DomainSpec(seed=5, program_count=8, program_size=73, motif_count=2,
-                      motif_size=9, motif_rate=0.35)
-    corpus = generate_corpus(spec)
-    assert [term_size(t) for t in corpus] == [73] * 8
+    for spec in (
+        DomainSpec(seed=5, program_count=8, program_size=73, motif_count=2,
+                   motif_size=9, motif_rate=0.35),
+        CROWDED,
+    ):
+        corpus = generate_corpus(spec)
+        assert [term_size(t) for t in corpus] == [spec.program_size] * spec.program_count
 
 
 def test_motif_free_corpus_has_no_truth():
@@ -101,12 +109,14 @@ def test_motif_free_corpus_has_no_truth():
 
 
 def test_planted_sites_hold_real_instances():
-    corpus, truth = generate_corpus_with_truth(SMALL_PLANTED)
     from mdlgauge.term import instantiate
 
-    for inst in truth.instances:
-        site = subterm_at(corpus[inst.program_index], inst.path)
-        assert site == instantiate(truth.motifs[inst.motif_index], inst.args)
+    for spec in (SMALL_PLANTED, CROWDED):
+        corpus, truth = generate_corpus_with_truth(spec)
+        assert truth.instances
+        for inst in truth.instances:
+            site = subterm_at(corpus[inst.program_index], inst.path)
+            assert site == instantiate(truth.motifs[inst.motif_index], inst.args)
 
 
 def test_planted_motifs_recoverable_by_lgg():
@@ -205,9 +215,18 @@ def test_motif_free_corpus_barely_compresses():
 
 
 def test_points_are_deterministic():
-    spec = DomainSpec(seed=11, program_count=8, program_size=80, motif_count=2,
-                      motif_size=9, motif_rate=0.4)
-    assert emit_tradeoff_points(spec) == emit_tradeoff_points(spec)
+    wide = DomainSpec(seed=1, program_count=3, program_size=40, motif_count=2,
+                      motif_size=8, motif_rate=0.4, alphabet_size=30)
+    # Past the 26 letters, the labels go on as s0, s1, ...
+    assert wide.alphabet()[-4:] == ("s0", "s1", "s2", "s3")
+    for spec in (
+        DomainSpec(seed=11, program_count=8, program_size=80, motif_count=2,
+                   motif_size=9, motif_rate=0.4),
+        wide,
+    ):
+        points = emit_tradeoff_points(spec)
+        assert len(points) == 3
+        assert points == emit_tradeoff_points(spec)
 
 
 def test_ladder_powers():
