@@ -13,6 +13,7 @@ from typing import Sequence
 from .term import Abstraction, Node, Term, Var, iter_subterms, replace_at
 
 DEFAULT_ALPHABET: tuple[str, ...] = ("a", "b", "c", "f", "g", "h", "p", "q")
+_MAX_ARITY = 3
 
 
 def seeded(*parts: object) -> random.Random:
@@ -31,20 +32,18 @@ def random_partition(rng: random.Random, total: int, parts: int) -> list[int]:
 
 
 def random_ground_term(
-    rng: random.Random,
-    size: int,
-    alphabet: Sequence[str] = DEFAULT_ALPHABET,
-    max_arity: int = 3,
+    rng: random.Random, size: int, alphabet: Sequence[str] = DEFAULT_ALPHABET
 ) -> Term:
-    """A uniform-ish random ordered tree with exactly ``size`` nodes."""
+    """A uniform-ish random ordered tree with exactly ``size`` nodes, each
+    with at most _MAX_ARITY children."""
     if size < 1:
         raise ValueError("size must be positive")
     label = rng.choice(alphabet)
     if size == 1:
         return Node(label)
-    arity = rng.randint(1, min(max_arity, size - 1))
+    arity = rng.randint(1, min(_MAX_ARITY, size - 1))
     parts = random_partition(rng, size - 1, arity)
-    return Node(label, tuple(random_ground_term(rng, p, alphabet, max_arity) for p in parts))
+    return Node(label, tuple(random_ground_term(rng, p, alphabet) for p in parts))
 
 
 def leaf_paths(t: Term) -> list[tuple[int, ...]]:
@@ -55,9 +54,7 @@ def random_abstraction(
     rng: random.Random,
     body_size: int,
     n_params: int,
-    alphabet: Sequence[str] = DEFAULT_ALPHABET,
     max_occurrences: int = 2,
-    name: str = "sampled",
 ) -> Abstraction:
     """A random abstraction whose every parameter occurs at least once.
 
@@ -67,7 +64,7 @@ def random_abstraction(
     if n_params < 0:
         raise ValueError("n_params must be nonnegative")
     for _ in range(200):
-        body = random_ground_term(rng, body_size, alphabet)
+        body = random_ground_term(rng, body_size)
         leaves = leaf_paths(body)
         if len(leaves) >= n_params:
             break
@@ -82,4 +79,4 @@ def random_abstraction(
         for _ in range(occurrences):
             body = replace_at(body, leaves[taken], Var(f"p{i}"))
             taken += 1
-    return Abstraction(name, tuple(f"p{i}" for i in range(n_params)), body)
+    return Abstraction(tuple(f"p{i}" for i in range(n_params)), body)

@@ -1,17 +1,18 @@
 """Labeled ordered trees with metavariables, and the substitution calculus.
 
-Terms stand for code fragments.  An abstraction is a term with named
-parameter slots; applying it is substitution, recovering the arguments that
-produced a given instance is matching, and reconciling two terms with
-unknowns on both sides is unification (here with union-find term graphs, so
-the work stays near-linear).  Anti-unification (``lgg``) goes the other way:
-given instances, it finds the least general term covering all of them.  It
-is one pairwise walk, and the lgg of n terms is its left fold (Plotkin, "A
-note on inductive generalization", Machine Intelligence 5, 1970).
+Terms stand for code fragments.  An abstraction is its parameters and its
+body, a term over those metavariables; applying it is substitution,
+recovering the arguments that produced a given instance is matching, and
+reconciling two terms with unknowns on both sides is unification (here
+with union-find term graphs, so the work stays near-linear).
+Anti-unification (``lgg``) goes the other way: given instances, it finds
+the least general term covering all of them.  It is one pairwise walk, and
+the lgg of n terms is its left fold (Plotkin, "A note on inductive
+generalization", Machine Intelligence 5, 1970).
 
 Terms are immutable.  Both kinds, ``Var`` and ``Node``, derive from one
-base, ``Term``, which holds their fields, refuses every write to them, and
-gives them one hash and one structural equality.  The fields are a
+base, ``Term``, which holds their fields, refuses every write or delete of
+them, and gives them one hash and one structural equality.  The fields are a
 ``label``, a tuple of ``children``, a ``size`` (node count, metavariable
 leaves included) and whether the term is ``ground``.  A ``Var`` is a leaf
 labelled with the '?' it renders with, followed by its ``name``; so walks
@@ -45,8 +46,8 @@ class _TermFields:
 
 
 class Term(_TermFields):
-    """What both kinds of term share: their fields, which no one may set,
-    their hash, kept from construction, and structural equality.
+    """What both kinds of term share: their fields, which no one may set or
+    delete, their hash, kept from construction, and structural equality.
 
     Each constructor stores the fields while the object is a plain
     _TermFields, and only then makes it a Var or a Node, whose
@@ -58,6 +59,9 @@ class Term(_TermFields):
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{self.__class__.__name__} is immutable; cannot delete {attr!r}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -350,9 +354,8 @@ def render_substitution(s: Substitution) -> str:
 
 @dataclass(frozen=True)
 class Abstraction:
-    """A named term template: instantiating binds ``params`` in order."""
+    """A term template: instantiating binds ``params`` in order."""
 
-    name: str
     params: tuple[str, ...]
     body: Term
 
@@ -368,13 +371,11 @@ class Abstraction:
 def instantiate(a: Abstraction, args: Sequence[Term]) -> Term:
     """Substitute ``args`` for the abstraction's parameters, positionally."""
     if len(args) != len(a.params):
-        raise ArityMismatch(
-            f"{a.name} takes {len(a.params)} arguments, got {len(args)}"
-        )
+        raise ArityMismatch(f"the abstraction takes {len(a.params)} arguments, got {len(args)}")
     return Substitution(dict(zip(a.params, args))).apply(a.body)
 
 
-def parse_abstraction(text: str, name: str = "abstraction") -> Abstraction:
+def parse_abstraction(text: str) -> Abstraction:
     """Parse the two-part abstraction format: a "params: ?a ?b" first line
     followed by the body term."""
     first, _, rest = text.partition("\n")
@@ -386,7 +387,7 @@ def parse_abstraction(text: str, name: str = "abstraction") -> Abstraction:
         if not word.startswith("?") or not _VAR_NAME_RE.fullmatch(word[1:]):
             raise TermSyntaxError(f"bad parameter {word!r}", 0)
         params.append(word[1:])
-    return Abstraction(name, tuple(params), parse_term(rest))
+    return Abstraction(tuple(params), parse_term(rest))
 
 
 def render_abstraction(a: Abstraction) -> str:
@@ -549,7 +550,7 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
 # Anti-unification
 
 
-def lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
+def lgg(terms: Sequence[Term]) -> Abstraction:
     """Least general generalization of one or more ground terms.
 
     Positions where the inputs disagree become metavariables; equal
@@ -565,16 +566,14 @@ def lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
     body, params = terms[0], ()
     for t in terms[1:]:
         body, params, _ = _anti_unify(body, t)
-    return Abstraction(name, params, body)
+    return Abstraction(params, body)
 
 
-def lgg_with_witnesses(
-    terms: Sequence[Term], name: str = "lgg"
-) -> tuple[Abstraction, list[tuple[Term, ...]]]:
+def lgg_with_witnesses(terms: Sequence[Term]) -> tuple[Abstraction, list[tuple[Term, ...]]]:
     """lgg plus, per input term, the argument tuple that reproduces it:
     ``instantiate(a, witnesses[i]) == terms[i]``."""
     terms = tuple(terms)
-    a = lgg(terms, name)
+    a = lgg(terms)
     matches = [match_term(a.body, t).bindings for t in terms]
     return a, [tuple(bindings[p] for p in a.params) for bindings in matches]
 

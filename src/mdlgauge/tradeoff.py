@@ -185,9 +185,7 @@ def _make_motifs(spec: DomainSpec, alphabet: tuple[str, ...]) -> list[Abstractio
             key = render_term(body)
             if key not in bodies:
                 bodies.add(key)
-                motifs.append(
-                    Abstraction(f"motif{m}", tuple(f"p{k}" for k in range(n_params)), body)
-                )
+                motifs.append(Abstraction(tuple(f"p{k}" for k in range(n_params)), body))
                 break
         else:
             raise InconsistentSpec("could not generate distinct motifs")
@@ -285,10 +283,12 @@ _MIN_COUNTED_SIZE = min(_MIN_CONST_SIZE, _MIN_MOTIF_SIZE)
 
 @dataclass
 class CompressionResult:
-    """One level's compression of a corpus: the discovered library, the
-    rewritten terms, the compressed size (nodes left in the corpus plus
-    library body nodes, where each reuse site costs one call node plus its
-    argument nodes), and the match comparisons spent on the rewrites."""
+    """One level's compression of a corpus: the discovered library, whose
+    entry ``library[k]`` is the candidate that a call node labelled ``$k``
+    applies, the rewritten terms, the compressed size (nodes left in the
+    corpus plus library body nodes, where each reuse site costs one call
+    node plus its argument nodes), and the match comparisons spent on the
+    rewrites."""
 
     library: list[Abstraction]
     terms: list[Term]
@@ -308,23 +308,6 @@ def compress_with_level(
     """Compress ``corpus`` with the mechanisms available at ``level``."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    return _compress(corpus, level)
-
-
-def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
-    """One (compression ratio, inversion cost) point per ladder level."""
-    corpus = generate_corpus(spec)
-    original = sum(t.size for t in corpus)
-    points = []
-    for level in LADDER:
-        run = _compress(corpus, level)
-        points.append(
-            TradeoffPoint(level, run.compressed_size / original, run.mean_cost)
-        )
-    return points
-
-
-def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionResult:
     terms = list(corpus)
     run = CompressionResult([], terms, 0, 0, 0)
     candidates: list[tuple[str, Abstraction]] = []
@@ -338,6 +321,24 @@ def _compress(corpus: Sequence[Term], level: MetalanguageLevel) -> CompressionRe
     _greedy_rewrite(run, candidates)
     run.compressed_size = sum(t.size for t in run.terms) + sum(a.body.size for a in run.library)
     return run
+
+
+# The name emit_tradeoff_points calls each level through, looked up at call
+# time, so that a traced run can wrap it (perfbench/spans.py does).
+_compress = compress_with_level
+
+
+def emit_tradeoff_points(spec: DomainSpec) -> list[TradeoffPoint]:
+    """One (compression ratio, inversion cost) point per ladder level."""
+    corpus = generate_corpus(spec)
+    original = sum(t.size for t in corpus)
+    points = []
+    for level in LADDER:
+        run = _compress(corpus, level)
+        points.append(
+            TradeoffPoint(level, run.compressed_size / original, run.mean_cost)
+        )
+    return points
 
 
 def _subterm_counts(corpus: Sequence[Term]) -> dict[Term, int]:
@@ -557,7 +558,7 @@ def _greedy_rewrite(
             continue
         index.kill(ci)
         name = f"${len(run.library)}"
-        run.library.append(Abstraction(name, candidates[ci].params, candidates[ci].body))
+        run.library.append(candidates[ci])
         changed: dict[int, tuple[Term, list[tuple[int, ...]]]] = {}
         for site in sites:
             ti = site.term_index
@@ -579,7 +580,7 @@ def _constant_candidates(counts: dict[Term, int]) -> list[tuple[str, Abstraction
         if t.size >= _MIN_CONST_SIZE and occ >= 2 and occ * (t.size - 1) - t.size > 0
     ]
     ranked.sort(key=lambda r: (-r[0], r[1]))
-    return [(text, Abstraction("const", (), t)) for _, text, t in ranked]
+    return [(text, Abstraction((), t)) for _, text, t in ranked]
 
 
 def _motif_candidates(counts: dict[Term, int]) -> list[tuple[str, Abstraction]]:
@@ -622,7 +623,7 @@ def _motif_candidates(counts: dict[Term, int]) -> list[tuple[str, Abstraction]]:
                 continue
             key = (body, params)
             if key not in found:
-                found[key] = (ground, Abstraction("lgg", params, body))
+                found[key] = (ground, Abstraction(params, body))
 
     ranked = sorted(
         [(ground, render_term(cand.body), cand) for ground, cand in found.values()],

@@ -280,7 +280,7 @@ def reference_apply(bindings: Mapping[str, Term], t: Term) -> Term:
     return Node(t.label, tuple(reference_apply(bindings, c) for c in t.children))
 
 
-def reference_lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
+def reference_lgg(terms: Sequence[Term]) -> Abstraction:
     terms = tuple(terms)
     slots: dict[tuple[Term, ...], str] = {}
 
@@ -307,7 +307,7 @@ def reference_lgg(terms: Sequence[Term], name: str = "lgg") -> Abstraction:
         return Var(var)
 
     body = gen(terms)
-    return Abstraction(name, tuple(slots.values()), body)
+    return Abstraction(tuple(slots.values()), body)
 
 
 class _ReferenceClass:
@@ -452,7 +452,7 @@ def reference_greedy_rewrite(
             score(cand, key)
             continue
         name = f"${len(run.library)}"
-        run.library.append(Abstraction(name, cand.params, cand.body))
+        run.library.append(cand)
         for ti, path, _, args, cost in sites:
             run.terms[ti] = reference_replace_at(run.terms[ti], path, Node(name, args))
             run.comparisons += cost
@@ -505,7 +505,7 @@ def _reference_constant_candidates(terms: Sequence[Term]) -> list[Abstraction]:
     ]
     ranked = [(gain, t) for gain, t in ranked if gain > 0]
     ranked.sort(key=lambda pair: (-pair[0], reference_render_term(pair[1])))
-    return [Abstraction("const", (), t) for _, t in ranked]
+    return [Abstraction((), t) for _, t in ranked]
 
 
 def _reference_motif_candidates(terms: Sequence[Term]) -> list[Abstraction]:

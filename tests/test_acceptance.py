@@ -86,7 +86,7 @@ def test_criterion_3_inversion(corpus_text):
     assert got is not None
     assert got.bindings == {"a": parse_term("r"), "b": parse_term("(f s)")}
 
-    hypot = parse_abstraction(corpus_text("hypot.abs"), "hypot")
+    hypot = parse_abstraction(corpus_text("hypot.abs"))
     x = (parse_term("r"), parse_term("(f s)"))
     x2 = (parse_term("r"), parse_term("(f (+ s 1))"))
     assert instantiate(hypot, x) == y
@@ -171,7 +171,7 @@ def test_criterion_6_viscosity(corpus_text):
         assert est.all_params_used
         assert est.inverse_ok, f"abstraction {i} violated the inverse inequality"
 
-    hypot = parse_abstraction(corpus_text("hypot.abs"), "hypot")
+    hypot = parse_abstraction(corpus_text("hypot.abs"))
     est = estimate_lipschitz(hypot, samples=20, seed=0)
     assert est.forward_k <= 2.0
     assert est.forward_k == 2.0  # at least one sample achieves ratio 2

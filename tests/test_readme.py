@@ -1,6 +1,7 @@
 """Every `$ mdlgauge ...` example in README.md, run in-process through
 cli.main and compared byte for byte with the output the README shows."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -58,3 +59,35 @@ def test_readme_example(text, expected, files, tmp_path, monkeypatch, capsysbina
     assert out == expected.encode()
     for name, content in files.items():
         assert (tmp_path / name).read_bytes() == content.encode()
+
+
+def synopsis() -> list[str]:
+    """The lines of the README's command synopsis, the fenced block under
+    "## Command line", each with its continuation lines joined."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```", text, re.S | re.M).group(1)
+    return re.split(r"\n(?=mdlgauge )", block.replace("\n ", " ").strip())
+
+
+SYNOPSIS = synopsis()
+
+
+def test_synopsis_names_every_command():
+    assert [line.split()[1] for line in SYNOPSIS] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("line", SYNOPSIS, ids=[line.split()[1] for line in SYNOPSIS])
+def test_synopsis_shows_the_parser_options(line):
+    command = line.split()[1]
+    parser = cli.build_parser([command])
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        option: action.required
+        for action in commands.choices[command]._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    optional = set(re.findall(r"\[(--[\w-]+)", line))
+    shown = set(re.findall(r"--[\w-]+", line))
+    assert shown == declared.keys()
+    assert optional == {option for option, required in declared.items() if not required}

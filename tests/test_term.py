@@ -64,7 +64,7 @@ PATTERN_TERMS = term_strategy(
     st.one_of(st.builds(Node, st.sampled_from("ab")), st.builds(Var, st.sampled_from("xyz")))
 )
 
-HYPOT = Abstraction("hypot", ("a", "b"), parse_term("(+ (* ?a ?a) (* ?b ?b))"))
+HYPOT = Abstraction(("a", "b"), parse_term("(+ (* ?a ?a) (* ?b ?b))"))
 
 
 def random_pattern(rng: random.Random, size: int, var_names: tuple[str, ...]):
@@ -144,7 +144,7 @@ def test_instantiate_hypot_perturbed():
 
 
 def test_instantiate_zero_params():
-    a = Abstraction("const", (), parse_term("(f a b)"))
+    a = Abstraction((), parse_term("(f a b)"))
     assert instantiate(a, []) == a.body
 
 
@@ -155,14 +155,14 @@ def test_instantiate_arity_mismatch():
 
 def test_abstraction_validation():
     with pytest.raises(ValueError):
-        Abstraction("bad", ("a", "a"), Var("a"))
+        Abstraction(("a", "a"), Var("a"))
     with pytest.raises(ValueError):
-        Abstraction("bad", ("a",), parse_term("(f ?a ?b)"))
+        Abstraction(("a",), parse_term("(f ?a ?b)"))
 
 
 def test_abstraction_file_roundtrip():
     text = render_abstraction(HYPOT)
-    back = parse_abstraction(text, "hypot")
+    back = parse_abstraction(text)
     assert back.params == HYPOT.params and back.body == HYPOT.body
 
 
@@ -538,6 +538,11 @@ def test_terms_are_immutable():
     for attr in ("label", "children", "size", "ground", "name"):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
+    for term in (t, x):
+        for attr in ("label", "children", "size", "ground", "_hash"):
+            with pytest.raises(AttributeError):
+                delattr(term, attr)
+    assert render_term(t) == "(f ?x)" and hash(t) == hash(Node("f", (Var("x"),)))
     assert (x.label, x.children, x.size, x.ground, x.name) == ("?x", (), 1, False, "x")
 
 

@@ -12,6 +12,7 @@ from mdlgauge.term import (
     Node,
     _anti_unify,
     _match_cost,
+    instantiate,
     iter_subterms,
     lgg,
     match_term,
@@ -109,8 +110,6 @@ def test_motif_free_corpus_has_no_truth():
 
 
 def test_planted_sites_hold_real_instances():
-    from mdlgauge.term import instantiate
-
     for spec in (SMALL_PLANTED, CROWDED):
         corpus, truth = generate_corpus_with_truth(spec)
         assert truth.instances
@@ -242,6 +241,33 @@ def test_library_calls_carry_arguments():
         assert render_term(entry.body).count("?") >= len(entry.params)
 
 
+def expand(t, library):
+    """``t`` with every call ``$k`` replaced by ``library[k]`` applied to
+    its expanded arguments."""
+    kids = tuple(expand(c, library) for c in t.children)
+    if t.label.startswith("$"):
+        return instantiate(library[int(t.label[1:])], kids)
+    return Node(t.label, kids)
+
+
+@pytest.mark.parametrize("level", [L1, L2], ids=lambda level: level.name)
+def test_call_k_applies_library_entry_k(level, monkeypatch):
+    offered = []
+    original = tradeoff._greedy_rewrite
+
+    def rewrite(run, keyed):
+        offered.extend(cand for _, cand in keyed)
+        original(run, keyed)
+
+    monkeypatch.setattr(tradeoff, "_greedy_rewrite", rewrite)
+    corpus = generate_corpus(DomainSpec(2, 8, 80, 3, 7, 0.5, alphabet_size=3))
+    run = compress_with_level(corpus, level)
+    assert run.library
+    # Each entry is a candidate object itself, not a copy of one.
+    assert all(any(entry is cand for cand in offered) for entry in run.library)
+    assert [expand(t, run.library) for t in run.terms] == corpus
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         compress_with_level([], L1)
@@ -254,7 +280,7 @@ def test_empty_corpus_rejected():
 def outcome(run):
     """Everything a compression decides, in a comparable form."""
     return (
-        [(a.name, a.params, render_term(a.body)) for a in run.library],
+        [(f"${k}", a.params, render_term(a.body)) for k, a in enumerate(run.library)],
         [render_term(t) for t in run.terms],
         run.compressed_size,
         run.comparisons,
@@ -266,7 +292,7 @@ def greedy(rewrite, texts, candidates):
     """Run a greedy rewriter on parsed ``texts`` with the given
     (params, body text) candidates."""
     run = CompressionResult([], [parse_term(t) for t in texts], 0, 0, 0)
-    rewrite(run, [Abstraction("cand", params, parse_term(b)) for params, b in candidates])
+    rewrite(run, [Abstraction(params, parse_term(b)) for params, b in candidates])
     return outcome(run)
 
 
@@ -315,8 +341,8 @@ def test_motif_candidates_equal_the_reference(spec):
     corpus = generate_corpus(spec)
     got = tradeoff._motif_candidates(tradeoff._subterm_counts(corpus))
     want = _reference_motif_candidates(corpus)
-    assert [(a.name, a.params, text) for text, a in got] == [
-        (a.name, a.params, render_term(a.body)) for a in want
+    assert [(a.params, text) for text, a in got] == [
+        (a.params, render_term(a.body)) for a in want
     ]
     assert all(text == render_term(a.body) for text, a in got)
 

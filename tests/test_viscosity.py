@@ -16,7 +16,7 @@ from mdlgauge.term import (
 from mdlgauge.treedist import ted
 from mdlgauge.viscosity import LipschitzEstimate, ZeroSamples, estimate_lipschitz, perturb
 
-HYPOT = Abstraction("hypot", ("a", "b"), parse_term("(+ (* ?a ?a) (* ?b ?b))"))
+HYPOT = Abstraction(("a", "b"), parse_term("(+ (* ?a ?a) (* ?b ?b))"))
 
 
 def test_perturb_is_deterministic():
@@ -69,14 +69,14 @@ def test_hypot_forward_constant():
 
 
 def test_single_occurrence_ratio_is_one():
-    wrap = Abstraction("wrap", ("a",), parse_term("(f ?a)"))
+    wrap = Abstraction(("a",), parse_term("(f ?a)"))
     est = estimate_lipschitz(wrap, samples=40, seed=3)
     assert est.forward_k == 1.0
     assert est.inverse_ok
 
 
 def test_constant_abstraction():
-    const = Abstraction("k", (), parse_term("(f a b)"))
+    const = Abstraction((), parse_term("(f a b)"))
     est = estimate_lipschitz(const, samples=10, seed=0)
     assert est.forward_k == 0.0
     assert est.inverse_ok
@@ -102,7 +102,7 @@ def test_inverse_inequality_sampled():
 
 
 def test_unused_parameter_is_flagged():
-    a = Abstraction("drop", ("a", "b"), parse_term("(f ?a)"))
+    a = Abstraction(("a", "b"), parse_term("(f ?a)"))
     est = estimate_lipschitz(a, samples=10, seed=0)
     assert not est.all_params_used
 
