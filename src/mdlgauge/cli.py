@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .encode import encode_function
-from .lexcount import DIALECTS, count_tokens, tokenize
-from .mdl import Candidate, UseCase, rank_candidates, report_csv
+from .lexcount import DIALECTS, tokenize
+from .mdl import Candidate, rank_candidates, report_csv
 from .term import (
     lgg,
     match_term,
@@ -59,13 +59,15 @@ class ManifestInvalid(ValueError):
 @dataclass(frozen=True)
 class ScenarioManifest:
     tokenizer_dialect: str
-    use_cases: tuple[UseCase, ...]
+    use_cases: tuple[str, ...]
     candidates: tuple[Candidate, ...]
 
 
 def load_manifest(path: str | Path) -> ScenarioManifest:
     """Load and validate a scenario manifest, reading every referenced
-    source file.  All violations are reported together."""
+    source file.  All violations are reported together.  A use case's
+    ``description`` and a candidate's ``inapplicable`` list are checked
+    but not kept: the score reads neither."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -95,21 +97,28 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
     if dialect not in DIALECTS:
         problems.append(f"unknown tokenizer_dialect {dialect!r}")
 
+    def named(key: str, what: str):
+        """``(name, entry)`` for each object listed under ``key`` whose name
+        is a string, with the problems of every entry recorded."""
+        seen = set()
+        for i, entry in enumerate(typed(raw.get(key, []), list, key) or []):
+            if typed(entry, dict, f"{what} {i}") is None:
+                continue
+            name = typed(entry.get("name", ""), str, f"{what} {i}: name")
+            if name is None:
+                continue
+            if not name:
+                problems.append(f"{what} without a name")
+            elif name in seen:
+                problems.append(f"duplicate {what} {name!r}")
+            seen.add(name)
+            yield name, entry
+
     use_cases = []
-    names_seen = set()
-    for i, entry in enumerate(typed(raw.get("use_cases", []), list, "use_cases") or []):
-        if typed(entry, dict, f"use case {i}") is None:
-            continue
-        name = typed(entry.get("name", ""), str, f"use case {i}: name")
-        if name is None:
-            continue
-        if not name:
-            problems.append("use case without a name")
-        elif name in names_seen:
-            problems.append(f"duplicate use case {name!r}")
-        names_seen.add(name)
-        description = typed(entry.get("description", ""), str, f"use case {name!r}: description")
-        use_cases.append(UseCase(name, description or ""))
+    for name, entry in named("use_cases", "use case"):
+        typed(entry.get("description", ""), str, f"use case {name!r}: description")
+        use_cases.append(name)
+    known = set(use_cases)
 
     def read_source(rel: str, owner: str) -> str:
         try:
@@ -121,19 +130,8 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
         return ""
 
     candidates = []
-    cand_names = set()
     chain_indices = set()
-    for i, entry in enumerate(typed(raw.get("candidates", []), list, "candidates") or []):
-        if typed(entry, dict, f"candidate {i}") is None:
-            continue
-        name = typed(entry.get("name", ""), str, f"candidate {i}: name")
-        if name is None:
-            continue
-        if not name:
-            problems.append("candidate without a name")
-        elif name in cand_names:
-            problems.append(f"duplicate candidate {name!r}")
-        cand_names.add(name)
+    for name, entry in named("candidates", "candidate"):
         owner = f"candidate {name!r}"
         chain_index = entry.get("chain_index")
         # JSON's true and false load as bools, which are ints to isinstance.
@@ -155,25 +153,23 @@ def load_manifest(path: str | Path) -> ScenarioManifest:
         listed = typed(entry.get("adaptations", {}), dict, f"{owner}: adaptations")
         if listed is not None:
             for use in use_cases:
-                if use.name not in listed:
-                    problems.append(f"{owner}: no adaptation for use case {use.name!r}")
+                if use not in listed:
+                    problems.append(f"{owner}: no adaptation for use case {use!r}")
             for use_name, rel in listed.items():
-                if use_name not in names_seen:
+                if use_name not in known:
                     problems.append(f"{owner}: adaptation for unknown use case {use_name!r}")
                 where = f"{owner} / {use_name!r}"
                 rel = typed(rel, str, where)
                 adaptations[use_name] = read_source(rel, where) if rel is not None else ""
 
         inapplicable = typed(entry.get("inapplicable", []), list, f"{owner}: inapplicable") or []
-        inapplicable = frozenset(
+        unknown = {
             u for u in inapplicable if typed(u, str, f"{owner}: inapplicable entry") is not None
-        )
-        for use_name in sorted(inapplicable - names_seen):
+        } - known
+        for use_name in sorted(unknown):
             problems.append(f"{owner}: inapplicable lists unknown use case {use_name!r}")
 
-        candidates.append(
-            Candidate(name, chain_index, component, adaptations, inapplicable, shared_source)
-        )
+        candidates.append(Candidate(name, chain_index, component, adaptations, shared_source))
 
     if not candidates:
         problems.append("manifest lists no candidates")
@@ -239,11 +235,21 @@ def _emit(text: str, out: Optional[str]) -> None:
     """Write UTF-8 to stdout, or atomically to ``out`` (write-then-rename)."""
     if out is None:
         buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:  # an in-memory text sink
-            sys.stdout.write(text)
-        else:
-            sys.stdout.flush()
-            buffer.write(text.encode("utf-8"))
+        try:
+            if buffer is None:  # an in-memory text sink
+                sys.stdout.write(text)
+            else:
+                sys.stdout.flush()
+                buffer.write(text.encode("utf-8"))
+                buffer.flush()
+        except OSError as exc:
+            # A reader that went away (a closed pipe) leaves bytes that the
+            # interpreter would fail to flush again at exit; they go to
+            # os.devnull instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write to stdout: {exc.strerror or exc}") from exc
         return
     target = Path(out)
     tmp = None
@@ -279,7 +285,7 @@ def _cmd_tokenize(args) -> int:
     lines = []
     for path in args.files:
         tokens = _parse_file(path, lambda text: tokenize(text, args.dialect))
-        lines.append(f"{path}\t{count_tokens(tokens)}")
+        lines.append(f"{path}\t{len(tokens)}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

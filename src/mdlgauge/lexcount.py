@@ -164,10 +164,6 @@ def tokenize(text: str, dialect: str = "cpp-like") -> tuple[Token, ...]:
     return tuple(map(made.__getitem__, lexemes))
 
 
-def count_tokens(tokens: tuple[Token, ...]) -> int:
-    return len(tokens)
-
-
 def rename_identifiers(
     tokens: tuple[Token, ...], mapping: Mapping[str, str], dialect: str = "cpp-like"
 ) -> tuple[Token, ...]:

@@ -1,9 +1,10 @@
 """Description-length scoring of candidate components against use cases.
 
-A candidate's cost is the token count of the component itself plus the
-token count of all the code written to adapt it (or, where it cannot be
-applied, to implement a use case from scratch).  The candidate minimizing
-the total is the recommended level of generality, and the totals along a
+A use case is its name.  A candidate's cost is the token count of the
+component itself plus the token count of all the code written to adapt it
+to each named use case (or, where it cannot be applied, to implement that
+use case from scratch; both count alike).  The candidate minimizing the
+total is the recommended level of generality, and the totals along a
 least-to-most-general chain are checked for the expected U shape.
 """
 
@@ -14,14 +15,11 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .lexcount import count_tokens, tokenize
+from .lexcount import tokenize
 
 
 class MissingAdaptation(ValueError):
-    def __init__(self, candidate: str, use_case: str):
-        super().__init__(f"candidate {candidate!r} has no adaptation for use case {use_case!r}")
-        self.candidate = candidate
-        self.use_case = use_case
+    pass
 
 
 class EmptyCandidateList(ValueError):
@@ -29,32 +27,21 @@ class EmptyCandidateList(ValueError):
 
 
 @dataclass(frozen=True)
-class UseCase:
-    name: str
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class Candidate:
-    """One component in a generality chain, with its per-use-case adaptation
-    sources.
+    """One component in a generality chain, with its adaptation source for
+    each use case, keyed by the use case's name.
 
     ``shared_source`` holds scaffolding shared by several adaptations (for
-    example a helper functor); it is counted once.  Use cases the component
-    cannot serve at all are listed in ``inapplicable`` and their entry in
-    ``adaptations`` is a from-scratch implementation.
+    example a helper functor); it is counted once.  Where the component
+    cannot serve a use case at all, its entry in ``adaptations`` is a
+    from-scratch implementation, counted like any other adaptation.
     """
 
     name: str
     chain_index: int
     component_source: str
     adaptations: Mapping[str, str]
-    inapplicable: frozenset[str] = frozenset()
     shared_source: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "adaptations", dict(self.adaptations))
-        object.__setattr__(self, "inapplicable", frozenset(self.inapplicable))
 
 
 @dataclass(frozen=True)
@@ -80,21 +67,22 @@ class MdlReport:
 
 
 def score_candidate(
-    c: Candidate, uses: Iterable[UseCase], dialect: str = "cpp-like"
+    c: Candidate, uses: Iterable[str], dialect: str = "cpp-like"
 ) -> MdlScore:
-    """Token cost of the component plus all adaptation code for ``uses``."""
-    component = count_tokens(tokenize(c.component_source, dialect))
-    adaptation = count_tokens(tokenize(c.shared_source, dialect))
+    """Token cost of the component plus all adaptation code for the use
+    cases named in ``uses``."""
+    component = len(tokenize(c.component_source, dialect))
+    adaptation = len(tokenize(c.shared_source, dialect))
     for use in uses:
-        source = c.adaptations.get(use.name)
+        source = c.adaptations.get(use)
         if source is None:
-            raise MissingAdaptation(c.name, use.name)
-        adaptation += count_tokens(tokenize(source, dialect))
+            raise MissingAdaptation(f"candidate {c.name!r} has no adaptation for use case {use!r}")
+        adaptation += len(tokenize(source, dialect))
     return MdlScore(component, adaptation)
 
 
 def rank_candidates(
-    cands: Sequence[Candidate], uses: Iterable[UseCase], dialect: str = "cpp-like"
+    cands: Sequence[Candidate], uses: Iterable[str], dialect: str = "cpp-like"
 ) -> MdlReport:
     """Score every candidate and pick the minimum-total one.
 

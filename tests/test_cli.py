@@ -30,10 +30,8 @@ def run_cli(capsys, *argv):
 def test_manifest_loads_bundled_scenario(corpus):
     manifest = load_manifest(corpus / "scenario.json")
     assert manifest.tokenizer_dialect == "cpp-like"
-    assert len(manifest.use_cases) == 3
+    assert manifest.use_cases == ("double", "int", "float")
     assert len(manifest.candidates) == 4
-    a = manifest.candidates[0]
-    assert a.inapplicable == frozenset({"int", "float"})
 
 
 def test_manifest_missing_adaptation_named(tmp_path, corpus):
@@ -519,6 +517,28 @@ def test_module_entry_point(corpus):
     )
     assert proc.returncode == 0
     assert proc.stdout == "fig2b.cpp\t46\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tokenize", "fig2b.cpp"], ["tradeoff", "--programs", "4", "--size", "30"]],
+    ids=["tokenize", "tradeoff"],
+)
+def test_a_closed_stdout_pipe_is_an_input_error(corpus, argv):
+    # The read end is closed before the child has started, so its one write
+    # always meets a pipe with no reader.
+    package_root = str(Path(mdlgauge.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mdlgauge", *argv],
+        cwd=corpus,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (2, b"mdlgauge: cannot write to stdout: Broken pipe\n")
 
 
 def test_tokenize_names_the_file_that_fails_to_lex(capsys, corpus, tmp_path):

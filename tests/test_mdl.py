@@ -10,7 +10,6 @@ from mdlgauge.mdl import (
     EmptyCandidateList,
     MdlScore,
     MissingAdaptation,
-    UseCase,
     check_unimodal,
     rank_candidates,
     report_csv,
@@ -18,7 +17,7 @@ from mdlgauge.mdl import (
 )
 from support import stream_text
 
-USES = (UseCase("double"), UseCase("int"), UseCase("float"))
+USES = ("double", "int", "float")
 
 
 def token_source(n: int) -> str:
@@ -31,7 +30,7 @@ def synthetic_candidate(name, chain_index, component_tokens, per_use_tokens):
         name,
         chain_index,
         token_source(component_tokens),
-        {u.name: token_source(per_use_tokens) for u in USES},
+        {u: token_source(per_use_tokens) for u in USES},
     )
 
 
@@ -72,15 +71,14 @@ def test_rank_reproduces_reference_totals():
     # and the profile is U-shaped with its minimum at index 1.
     cands = [
         synthetic_candidate("a", 0, 41, 0),
-        Candidate("b", 1, token_source(46), {u.name: token_source(20) for u in USES}),
-        Candidate("c", 2, token_source(42), {u.name: token_source(22) for u in USES}),
-        Candidate("d", 3, token_source(56), {u.name: token_source(30) for u in USES},
+        Candidate("b", 1, token_source(46), {u: token_source(20) for u in USES}),
+        Candidate("c", 2, token_source(42), {u: token_source(22) for u in USES}),
+        Candidate("d", 3, token_source(56), {u: token_source(30) for u in USES},
                   shared_source=token_source(31)),
     ]
     cands[0] = Candidate(
         "a", 0, token_source(41),
         {"double": "", "int": token_source(41), "float": token_source(41)},
-        inapplicable=frozenset({"int", "float"}),
     )
     report = rank_candidates(cands, USES)
     totals = [report.scores[c.name].total for c in report.candidates]
@@ -120,7 +118,7 @@ def test_adding_a_use_case_never_decreases_totals():
     extended = Candidate("x", 0, c.component_source,
                          dict(c.adaptations, extra=token_source(2)))
     base = score_candidate(c, USES).total
-    more = score_candidate(extended, USES + (UseCase("extra"),)).total
+    more = score_candidate(extended, USES + ("extra",)).total
     assert more >= base
 
 
@@ -199,7 +197,6 @@ def test_decision_is_renaming_invariant(corpus):
             c.chain_index,
             rename(c.component_source),
             {u: rename(s) for u, s in c.adaptations.items()},
-            c.inapplicable,
             rename(c.shared_source) if c.shared_source else "",
         )
         for c in manifest.candidates

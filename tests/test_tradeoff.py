@@ -198,6 +198,25 @@ def test_curve_shape_on_planted_corpora():
         assert costs[0] < costs[1] < costs[2], f"seed {seed}: {costs}"
 
 
+# Specs the benchmark derives (perfbench's ``tradeoff.derived`` op) on which
+# L2 inverts more cheaply than L1: L1's library is many large constants,
+# each charged its full size to match, while L2's motifs cost only their
+# fixed nodes.  The inversion-cost metric ranks them so; any fix to it moves
+# the README's tradeoff CSV, and must then drop the xfail marker.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="L1's large constants cost more to invert than L2's motifs",
+)
+@pytest.mark.parametrize("seed", [611181, 464466, 34350, 175689, 988125])
+def test_derived_benchmark_specs_give_a_strict_curve(seed):
+    points = emit_tradeoff_points(DomainSpec(seed, 50, 200, 3, 12, 0.4))
+    ratios = [p.compression_ratio for p in points]
+    costs = [p.inversion_cost for p in points]
+    assert ratios[0] > ratios[1] > ratios[2], ratios
+    assert costs[0] < costs[1] < costs[2], costs
+
+
 def test_ratios_stay_above_ground_truth_floor():
     corpus, truth = generate_corpus_with_truth(SMALL_PLANTED)
     floor = ground_truth_floor(corpus, truth)
