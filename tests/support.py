@@ -1,7 +1,8 @@
 """Shared test helpers: token texts, an independent reference lexer
 and token classifier, exhaustive tree enumeration, pattern subsumption
 checks, reference term operations, a reference tradeoff compressor, a
-reference tree edit distance and a reference C-fragment encoder."""
+reference tree edit distance, a reference Lipschitz estimate and a
+reference C-fragment encoder."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Mapping, Optional, Sequence
 from mdlgauge import tradeoff
 from mdlgauge.encode import EncodeError
 from mdlgauge.lexcount import CPP_KEYWORDS, Token, tokenize
+from mdlgauge.sampling import DEFAULT_ALPHABET, random_ground_term, seeded
 from mdlgauge.term import (
     _VAR_NAME_RE,
     Abstraction,
@@ -21,9 +23,12 @@ from mdlgauge.term import (
     Term,
     TermSyntaxError,
     Var,
+    instantiate,
     iter_subterms,
+    term_variables,
 )
-from mdlgauge.treedist import UNIT_COSTS, CostModel
+from mdlgauge.treedist import UNIT_COSTS, CostModel, ted
+from mdlgauge.viscosity import LipschitzEstimate, ZeroSamples, perturb
 
 
 def stream_text(tokens) -> str:
@@ -614,6 +619,42 @@ def reference_ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
                         )
                     fd[x][y] = best
     return td[n - 1][m - 1]
+
+
+# ---------------------------------------------------------------------------
+# Reference Lipschitz estimate: the sampling loop that instantiates and
+# measures every sample.  estimate_lipschitz must return the same estimate.
+
+
+def reference_estimate_lipschitz(
+    a: Abstraction, samples: int, seed: int = 0, costs: CostModel = UNIT_COSTS
+) -> LipschitzEstimate:
+    if samples < 1:
+        raise ZeroSamples("need at least one sample")
+    used = term_variables(a.body)
+    all_used = all(p in used for p in a.params)
+
+    forward_k = 0.0
+    inverse_ok = True
+    for i in range(samples):
+        rng = seeded("lipschitz", seed, i)
+        base = tuple(
+            random_ground_term(rng, rng.randint(1, 4), DEFAULT_ALPHABET) for _ in a.params
+        )
+        if a.params:
+            coord = rng.randrange(len(a.params))
+            changed = perturb(base[coord], rng.randrange(2**32))
+            perturbed = base[:coord] + (changed,) + base[coord + 1:]
+            d_in = ted(base[coord], changed, costs)
+        else:
+            perturbed = base
+            d_in = 0.0
+        d_out = ted(instantiate(a, base), instantiate(a, perturbed), costs)
+        if d_out > 0:
+            forward_k = max(forward_k, float("inf") if d_in == 0 else d_out / d_in)
+        if d_in > d_out:
+            inverse_ok = False
+    return LipschitzEstimate(forward_k, inverse_ok, samples, seed, all_used)
 
 
 # ---------------------------------------------------------------------------
