@@ -9,6 +9,20 @@ unchanged.  This is the two-strategy case of RTED (Pawlik & Augsten, PVLDB
 2011).  Whole-number costs are summed as exact ints, which come out as the
 float sums would, bit for bit, and cost less to add; other costs are summed
 as floats.  A distance too large for a float raises ValueError.
+
+On whole-number costs, no keyroot pair that holds a leaf is run.  The
+forest recurrence reads the distance between two subtrees only in its
+branch that matches their roots to each other, so for a leaf ``a`` and a
+subtree ``T`` rooted at ``b`` it needs only ``relabel(a, b) + (|T| - 1) *
+insert`` (or ``delete`` when the leaf is in the second tree).  Those
+entries are filled in directly, once per leaf label, and the keyroot loops
+run only over the keyroots that are not leaves: the root alone in a left
+or right comb, about half of them in a zig-zag comb.  A single-node input
+is a closed form, ``(|T| - 1) * insert + min(delete + insert, min over b
+in T of relabel(a, b))``, and does not reach the loops.  Fractional costs
+still run every keyroot pair, since float sums taken in another order can
+differ in the last bits.
+
 ``ted_oracle`` recomputes the same minimum by brute memoized
 recursion over forests and exists purely to cross-check ``ted`` on small
 inputs.  Both read only the terms' ``label`` and ``children``; a
@@ -66,7 +80,8 @@ def _postorder(root: Term, mirrored: bool, ids: dict[str, int]) -> tuple[list[in
             # Every node of t's subtree is numbered after this point, and
             # the first of them is its leftmost leaf.
             stack.append((t, len(labels)))
-            stack.extend([(kid, -1) for kid in (kids if mirrored else reversed(kids))])
+            for kid in kids if mirrored else reversed(kids):
+                stack.append((kid, -1))
         else:
             lmld.append(len(labels) if first < 0 else first)
             labels.append(ids.setdefault(t.label, len(ids)))
@@ -79,13 +94,13 @@ def _keyroots(lmld: list[int]) -> list[int]:
     return sorted(last_with_lmld.values())
 
 
-def _decomposition_costs(lmld: list[int]) -> tuple[int, int]:
+def _decomposition_costs(lmld: list[int], keyroots: list[int]) -> tuple[int, int]:
     """Summed subtree sizes over the keyroots of the left decomposition and
     over those of the mirrored one.  A mirrored keyroot is the root or a
     node that is not its parent's last child; a last child is directly
     followed by its parent in post-order."""
     n = len(lmld)
-    left = sum(k - lmld[k] + 1 for k in _keyroots(lmld))
+    left = sum(k - lmld[k] + 1 for k in keyroots)
     right = n + sum(i - lmld[i] + 1 for i in range(n - 1) if lmld[i + 1] > i)
     return left, right
 
@@ -97,18 +112,10 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     ids2: dict[str, int] = {}
     labels1, lmld1 = _postorder(t1, False, ids1)
     labels2, lmld2 = _postorder(t2, False, ids2)
-    # Zhang-Shasha fills (sum over keyroots of t1 of their subtree sizes)
-    # times (the same sum for t2) forest-distance cells.  Mirroring both
-    # trees keeps the distance and turns right paths into left paths, so
-    # run on whichever side fills fewer.
-    left1, right1 = _decomposition_costs(lmld1)
-    left2, right2 = _decomposition_costs(lmld2)
-    if right1 * right2 < left1 * left2:
-        labels1, lmld1 = _postorder(t1, True, ids1)
-        labels2, lmld2 = _postorder(t2, True, ids2)
-    keyroots1, keyroots2 = _keyroots(lmld1), _keyroots(lmld2)
     n, m = len(labels1), len(labels2)
     dele, ins = costs.delete_cost, costs.insert_cost
+    # relabel_by_id[label id of t1][label id of t2]; mirroring renumbers
+    # no label.
     relabel_by_id = [[costs.relabel(a, b) for b in ids2] for a in ids1]
     # Whole-number costs are summed as ints: no sum can pass
     # 2 * (n + m + 1) * the dearest cost, and below 2**53 floats hold every
@@ -116,9 +123,31 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     # ints are shared objects, where every float sum allocates a new one.
     read = [dele, ins, *(c for row in relabel_by_id for c in row)]
     zero = 0.0
-    if all(float(c).is_integer() for c in read) and 2 * (n + m + 1) * max(read) < 2**53:
+    exact = all(float(c).is_integer() for c in read) and 2 * (n + m + 1) * max(read) < 2**53
+    if exact:
         zero, dele, ins = 0, int(dele), int(ins)
         relabel_by_id = [[int(c) for c in row] for row in relabel_by_id]
+        # A lone node a either goes while all of the other tree T comes, or
+        # becomes one node b of T while the rest comes, and T holds every
+        # label in ids2 (or ids1): (|T| - 1) insert + min(delete + insert,
+        # min over b of relabel(a, b)), and the same with insert and delete
+        # swapped when the lone node is t2.
+        if n == 1:
+            return float((m - 1) * ins + min(dele + ins, *relabel_by_id[0]))
+        if m == 1:
+            return float((n - 1) * dele + min(dele + ins, *(row[0] for row in relabel_by_id)))
+
+    keyroots1, keyroots2 = _keyroots(lmld1), _keyroots(lmld2)
+    # Zhang-Shasha fills (sum over keyroots of t1 of their subtree sizes)
+    # times (the same sum for t2) forest-distance cells.  Mirroring both
+    # trees keeps the distance and turns right paths into left paths, so
+    # run on whichever side fills fewer.
+    left1, right1 = _decomposition_costs(lmld1, keyroots1)
+    left2, right2 = _decomposition_costs(lmld2, keyroots2)
+    if right1 * right2 < left1 * left2:
+        labels1, lmld1 = _postorder(t1, True, ids1)
+        labels2, lmld2 = _postorder(t2, True, ids2)
+        keyroots1, keyroots2 = _keyroots(lmld1), _keyroots(lmld2)
 
     # Columns are t2's post-order indices shifted by one: column c stands
     # for node c - 1, and column lmld2[j] is the empty forest in front of
@@ -136,6 +165,35 @@ def ted(t1: Term, t2: Term, costs: CostModel = UNIT_COSTS) -> float:
     for x in range(1, n + 1):
         deletes[x] = deletes[x - 1] + dele
     td = [[zero] * (m + 1) for _ in range(n)]
+    if exact:
+        # The forest recurrence reads td[x][y] only in its branch that
+        # matches x to y (deleting x and inserting y are the other two), so
+        # td[x][y] may hold the cheapest edit that matches x to y.  With x a
+        # leaf, that is relabel(x, y) and inserting the rest of T2[y]; with
+        # y a leaf, relabel(x, y) and deleting the rest of T1[x].  Such rows
+        # and columns, one per label, stand in for every keyroot pair with a
+        # leaf in it, and the loops keep the pairs of inner keyroots, the
+        # roots' pair among them, which writes the answer.  No loop writes
+        # to a leaf keyroot's row, so leaves with one label share it.
+        below1 = [deletes[x - l] for x, l in enumerate(lmld1)]
+        leaf_columns: dict[int, list[int]] = {}
+        for j in keyroots2:
+            if lmld2[j] == j:
+                b = labels2[j]
+                if b not in leaf_columns:
+                    leaf_columns[b] = [d + relabel_by_id[a][b] for d, a in zip(below1, labels1)]
+                for row, cost in zip(td, leaf_columns[b]):
+                    row[j + 1] = cost
+        below2 = [zero] + [inserts[y - l] for y, l in enumerate(lmld2)]
+        leaf_rows: dict[int, list[int]] = {}
+        for i in keyroots1:
+            if lmld1[i] == i:
+                a = labels1[i]
+                if a not in leaf_rows:
+                    leaf_rows[a] = [d + r for d, r in zip(below2, relabel_to[a])]
+                td[i] = leaf_rows[a]
+        keyroots1 = [i for i in keyroots1 if lmld1[i] < i]
+        keyroots2 = [j for j in keyroots2 if lmld2[j] < j]
     fd = [[zero] * (m + 1) for _ in range(n + 1)]
 
     for i in keyroots1:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import CORPUS
 from mdlgauge.cli import main
 
 
@@ -143,3 +144,70 @@ def test_lipschitz_keeps_the_exit_contract(abstraction, samples, seed, costs):
         argv = ["lipschitz", "--abstraction", write(directory, "f.abs", abstraction)]
         # At most 7 samples, since the default is 100.
         assert_contract(argv + (samples or ["--samples=5"]) + seed + costs)
+
+
+# ---------------------------------------------------------------------------
+# match and unify: a ground term with a pattern made from it, so that both
+# solutions and failures are common; pattern text, which may not be ground;
+# any bytes; and the bundled C++ functions as *.cpp terms.
+
+GROUND_TREES = st.recursive(
+    GROUND.map(lambda leaf: (leaf, ())),
+    lambda kids: st.tuples(GROUND, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+VARIABLE = st.sampled_from(["?a", "?b", "?x_1"])
+
+
+def text_of(tree):
+    label, kids = tree
+    return f"({label} {' '.join(text_of(kid) for kid in kids)})" if kids else label
+
+
+@st.composite
+def pattern_and_target(draw):
+    """A ground term, and a pattern that puts a variable, often a repeated
+    one, in place of about one subterm in four."""
+
+    def pattern(tree):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(VARIABLE)
+        label, kids = tree
+        return f"({label} {' '.join(pattern(kid) for kid in kids)})" if kids else label
+
+    tree = draw(GROUND_TREES)
+    return pattern(tree).encode(), text_of(tree).encode()
+
+
+PATTERN_BYTES = terms(GROUND | VARIABLE).map(str.encode)
+CPP_BYTES = st.sampled_from(
+    [(CORPUS / name).read_bytes() for name in ("fig2a.cpp", "adapt_a_int.cpp", "adapt_d_shared.cpp")]
+)
+# A related pair, or each side on its own: pattern text, any file, or C++.
+TERM_PAIRS = mostly(
+    pattern_and_target(),
+    st.tuples(
+        st.one_of(PATTERN_BYTES, FILE_BYTES, CPP_BYTES),
+        st.one_of(PATTERN_BYTES, FILE_BYTES, CPP_BYTES),
+    ),
+)
+SUFFIXES = st.tuples(*[mostly(st.just(".term"), st.just(".cpp"))] * 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERM_PAIRS, SUFFIXES, st.sampled_from([[], ["--strict"]]))
+def test_match_keeps_the_exit_contract(pair, suffixes, strict):
+    with tempfile.TemporaryDirectory() as directory:
+        names = ["pattern" + suffixes[0], "target" + suffixes[1]]
+        paths = [write(directory, name, data) for name, data in zip(names, pair)]
+        assert_contract(["match", *paths, *strict])
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERM_PAIRS, st.booleans(), SUFFIXES, st.sampled_from([[], ["--strict"]]))
+def test_unify_keeps_the_exit_contract(pair, swap, suffixes, strict):
+    with tempfile.TemporaryDirectory() as directory:
+        names = ["left" + suffixes[0], "right" + suffixes[1]]
+        sides = reversed(pair) if swap else pair
+        paths = [write(directory, name, data) for name, data in zip(names, sides)]
+        assert_contract(["unify", *paths, *strict])

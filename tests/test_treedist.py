@@ -323,3 +323,86 @@ def test_combs_of_101_nodes_are_exact(shape):
     a = comb(shape, 101, leaves, [rng.choice(LABELS) for _ in range(101)])
     b = comb(shape, 101, leaves, ["z"] * 101)
     assert ted(a, b) == ted(b, a) == 50.0
+
+
+# ---------------------------------------------------------------------------
+# whole-number costs fill in every keyroot pair that holds a leaf from a
+# closed form; fractional costs run every pair
+
+
+class KindCosts(CostModel):
+    """Whole-number relabels that depend on the labels: 1 between two leaf
+    labels or two inner ones, 4 across."""
+
+    def relabel(self, a: str, b: str) -> int:
+        if a == b:
+            return 0
+        return 1 if (a in "ab") == (b in "ab") else 4
+
+
+class SelfRelabelCosts(CostModel):
+    """Relabelling a node to its own label costs 1; otherwise 2 or 3, by
+    the labels' order."""
+
+    def relabel(self, a: str, b: str) -> int:
+        return 1 if a == b else 2 if a < b else 3
+
+
+def one_label(t):
+    return Node("a", tuple(one_label(c) for c in t.children))
+
+
+LEAF_LABEL = st.sampled_from("ab")
+INNER_LABEL = st.sampled_from("abfg")
+# Shapes where most keyroots are leaves: single nodes, stars, combs of each
+# spine, and trees whose nodes all carry one label, beside bushy trees.
+LEAFY_TREES = st.one_of(
+    st.builds(Node, LEAF_LABEL),
+    st.builds(
+        lambda root, leaves: Node(root, tuple(Node(leaf) for leaf in leaves)),
+        INNER_LABEL,
+        st.lists(LEAF_LABEL, min_size=1, max_size=8),
+    ),
+    st.builds(
+        lambda shape, leaves, inner: comb(shape, 2 * len(leaves) - 1, leaves, inner),
+        st.sampled_from(["left", "right", "zigzag"]),
+        st.lists(LEAF_LABEL, min_size=1, max_size=10),
+        st.lists(INNER_LABEL, min_size=10, max_size=10),
+    ),
+    TREES,
+    TREES.map(one_label),
+)
+LEAFY_COSTS = st.one_of(
+    WHOLE_COSTS,
+    st.builds(KindCosts, WHOLE_COST, WHOLE_COST),
+    st.builds(SelfRelabelCosts, WHOLE_COST, WHOLE_COST),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEAFY_TREES, LEAFY_TREES, LEAFY_COSTS)
+def test_leaf_closed_form_agrees_with_reference_exactly(a, b, costs):
+    assert ted(a, b, costs) == reference_ted(a, b, costs)
+    assert ted(b, a, costs) == reference_ted(b, a, costs)
+
+
+def test_fractional_costs_keep_their_bits():
+    # Float sums depend on their order, and the right comb taken the other
+    # way round (run mirrored) already differs from the reference in the
+    # last bit, so these pin the order in which fractional costs are added.
+    rng = seeded("ted-fractional-bits")
+    pairs = [
+        (random_comb(rng, "left", 41), random_comb(rng, "left", 41)),
+        (random_comb(rng, "right", 41), random_comb(rng, "right", 41)),
+        (random_ground_term(rng, 50, LABELS), random_ground_term(rng, 50, LABELS)),
+    ]
+    pinned = [
+        ("0x1.0ccccccccccc8p+3", "0x1.0ccccccccccc9p+3"),
+        ("0x1.0ccccccccccc9p+3", "0x1.0ccccccccccc9p+3"),
+        ("0x1.9999999999994p+3", "0x1.9999999999996p+3"),
+    ]
+    for (a, b), (forward, backward) in zip(pairs, pinned):
+        assert ted(a, b, INEXACT_COSTS).hex() == forward
+        assert ted(b, a, INEXACT_COSTS).hex() == backward
+    a, b = pairs[1]
+    assert reference_ted(b, a, INEXACT_COSTS).hex() != pinned[1][1]
